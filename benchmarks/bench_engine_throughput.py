@@ -3,7 +3,8 @@ roomy vs. tight memory budgets, restart warm-up and skewed batching.
 
 The serving-layer claim, measured: the same mixed workload (dense
 overlays, localized window joins, ~40% verbatim repeats) is replayed
-against fresh engines in seven configurations —
+against fresh engines (one shard unless a row says otherwise) in
+seven configurations —
 
 * **cold, 1 worker** with the result cache disabled: every query
   re-plans and re-executes, the one-shot baseline;
@@ -29,8 +30,8 @@ against fresh engines in seven configurations —
 * **sharded, K workers**: the same workload scattered over a 2-shard
   :class:`~repro.engine.shard.ShardedEngine` — both shards on one
   shared worker pool — gathered with boundary dedup; the pair totals
-  must match the single-engine rows exactly (the differential
-  contract), with window queries pruning non-overlapping shards;
+  must match the one-shard rows exactly (the differential contract),
+  with window queries pruning non-overlapping shards;
 * **concurrent serving**: the sharded deployment behind the admission
   front-end (:class:`~repro.engine.serve.ServingFrontend`) — one
   closed-loop client as the single-caller baseline, eight closed-loop
@@ -67,13 +68,12 @@ import shutil
 import tempfile
 
 from repro.data.datasets import build_dataset
-from repro.engine.engine import SpatialQueryEngine
+from repro.engine.shard import ShardedEngine
 from repro.engine.workload import (
     engine_for_dataset,
     make_workload,
     run_concurrent_workload,
     run_workload,
-    sharded_engine_for_dataset,
 )
 from repro.experiments.report import fmt_seconds, format_table
 from repro.geom.rect import RECT_BYTES, Rect
@@ -130,9 +130,13 @@ def _serve(workers: int, cache_capacity: int, memory_bytes: int,
         DATASET, scale, workers=workers, cache_capacity=cache_capacity,
         memory_bytes=memory_bytes, artifact_dir=artifact_dir,
         kernel=kernel, shm_min_bytes=shm_min_bytes,
+        # A 0-byte result store keeps no sub-results, so the restart
+        # row measures the artifact sidecar's restores (persisted
+        # sub-results would serve every restarted query instead).
+        result_store_bytes=0 if artifact_dir else None,
     )
     queries = make_workload(
-        engine.catalog.get("roads").universe, N_QUERIES, seed=7,
+        engine.universe_of("roads"), N_QUERIES, seed=7,
     )
     report = run_workload(engine, queries)
     engine.close()
@@ -142,7 +146,7 @@ def _serve(workers: int, cache_capacity: int, memory_bytes: int,
 def _serve_sharded(shards: int, memory_bytes: int,
                    replicas: int = 1, faults=None) -> dict:
     scale = bench_scale()
-    engine = sharded_engine_for_dataset(
+    engine = engine_for_dataset(
         DATASET, scale, shards=shards, workers=WORKERS,
         cache_capacity=0, memory_bytes=memory_bytes,
         replicas=replicas, faults=faults,
@@ -167,7 +171,6 @@ def _serve_concurrent(clients: int, memory_bytes: int,
     sweeps) and would measure only front-end overhead.
     """
     scale = bench_scale()
-    from repro.engine.shard import ShardedEngine
     roads, hydro, unit = _skewed_relations()
     engine = ShardedEngine(
         shards=SHARDS, scale=scale, machine=MACHINE_3, workers=WORKERS,
@@ -219,8 +222,8 @@ def _serve_skewed(tile_batch_bytes, memory_bytes: int,
         kwargs["tile_batch_bytes"] = tile_batch_bytes
     if shm_min_bytes is not None:
         kwargs["shm_min_bytes"] = shm_min_bytes
-    engine = SpatialQueryEngine(
-        scale=scale, machine=MACHINE_3, workers=WORKERS,
+    engine = ShardedEngine(
+        shards=1, scale=scale, machine=MACHINE_3, workers=WORKERS,
         cache_capacity=0, memory_bytes=memory_bytes, kernel=kernel,
         **kwargs,
     )
@@ -533,7 +536,7 @@ def test_engine_throughput():
         "skewed grid"
     )
     # The sharded differential contract: scatter/gather with boundary
-    # dedup returns exactly the single-engine answers, and window
+    # dedup returns exactly the one-shard answers, and window
     # queries actually prune shards.
     assert sharded_k["pairs_returned"] == cold_k["pairs_returned"], (
         "sharded serving must return bit-identical pair totals"
@@ -584,7 +587,7 @@ def test_engine_throughput():
     assert (concurrent_serve["pairs_returned"]
             == serve_1client["pairs_returned"]
             == skewed_batched["pairs_returned"]), (
-        "concurrent serving must return the single-engine skewed "
+        "concurrent serving must return the one-shard skewed "
         "workload's exact pair totals"
     )
     # Saturation: the open-loop burst into a tiny queue must shed

@@ -12,16 +12,24 @@ Run:  python examples/query_engine.py
 """
 
 from repro.data import make_hydro, make_roads
-from repro.engine import Query, SpatialQueryEngine
+from repro.engine import Query, ShardedEngine
 from repro.geom import Rect
 
 US = Rect(-125.0, -66.0, 30.0, 48.0)
 TWIN_CITIES = Rect(-93.8, -92.6, 44.5, 45.4)
 
 
-def main() -> None:
-    engine = SpatialQueryEngine(workers=4, cache_capacity=32)
+def strategy(out) -> str:
+    """The plan the (only) shard chose."""
+    return out.result.detail["shard_strategies"][0]
 
+
+def main() -> None:
+    with ShardedEngine(shards=1, workers=4, cache_capacity=32) as engine:
+        serve(engine)
+
+
+def serve(engine: ShardedEngine) -> None:
     # -- register once ---------------------------------------------------
     roads = make_roads(40_000, US, seed=11, layout_seed=11)
     hydro = make_hydro(8_000, US, seed=12, layout_seed=11,
@@ -29,14 +37,15 @@ def main() -> None:
     engine.register("roads", roads, universe=US)
     engine.register("hydro", hydro, universe=US)
     engine.prepare()
-    print(f"catalog: {engine.catalog.names()}, "
-          f"{engine.catalog.indexes_built} indexes built\n")
+    snap = engine.metrics_snapshot()
+    print(f"catalog: {snap['relations']}, "
+          f"{snap['indexes_built']} indexes built\n")
 
     # -- query 1: dense nationwide overlay -------------------------------
     overlay = Query(relations=("roads", "hydro"))
     out = engine.execute(overlay)
     print(f"[1] overlay        : {out.result.n_pairs:,} pairs via "
-          f"{out.result.detail['strategy']} "
+          f"{strategy(out)} "
           f"(sim {out.sim_wall_seconds:.3f}s)")
 
     # -- query 2: localized window join ----------------------------------
@@ -44,7 +53,7 @@ def main() -> None:
     print("\n" + engine.explain(localized) + "\n")
     out = engine.execute(localized)
     print(f"[2] window join    : {out.result.n_pairs:,} pairs via "
-          f"{out.result.detail['strategy']} "
+          f"{strategy(out)} "
           f"(sim {out.sim_wall_seconds:.3f}s)")
 
     # -- query 3: forced-strategy ablation -------------------------------
@@ -52,7 +61,7 @@ def main() -> None:
                    force="sssj")
     out = engine.execute(forced)
     print(f"[3] forced sssj    : {out.result.n_pairs:,} pairs via "
-          f"{out.result.detail['strategy']} "
+          f"{strategy(out)} "
           f"(sim {out.sim_wall_seconds:.3f}s — the planner was right)")
 
     # -- query 4: warm-cache repeat of query 1 ---------------------------

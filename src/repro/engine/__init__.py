@@ -17,13 +17,12 @@ the subsystem a production deployment needs:
 * :class:`~repro.engine.resources.ResourceBudget` — the enforced
   internal-memory contract shared by every layer (grants, spill,
   admission control, high-water accounting);
-* :class:`~repro.engine.engine.SpatialQueryEngine` — the facade tying
-  it together, with serving metrics;
-* :class:`~repro.engine.shard.ShardedEngine` — scatter/gather serving
-  over N engine shards (spatial-strip partitioning with boundary
-  replication) sharing one ref-counted
-  :class:`~repro.engine.pool.WorkerPool`, with R replica engines per
-  shard and health-scored failover between them;
+* :class:`~repro.engine.shard.ShardedEngine` — the engine: one front
+  door with the result cache, serving metrics and trace root, serving
+  scatter/gather over N spatial-strip shards (boundary replication
+  keeps it exact; ``shards=1`` is the single-box deployment) that share
+  one ref-counted :class:`~repro.engine.pool.WorkerPool`, with R
+  internal replicas per shard and health-scored failover between them;
 * :class:`~repro.engine.faults.FaultPlan` — deterministic fault
   injection (worker crashes, task exceptions, slow tasks, corrupt
   artifacts, pool breakage, admission/deadline faults) threaded
@@ -36,13 +35,13 @@ the subsystem a production deployment needs:
 
 Quick start::
 
-    from repro.engine import Query, SpatialQueryEngine
+    from repro.engine import Query, ShardedEngine
 
-    engine = SpatialQueryEngine(workers=4)
-    engine.register("roads", road_rects)
-    engine.register("hydro", hydro_rects)
-    out = engine.execute(Query(relations=("roads", "hydro")))
-    print(out.result.n_pairs, engine.metrics_snapshot())
+    with ShardedEngine(shards=1, workers=4) as engine:
+        engine.register("roads", road_rects)
+        engine.register("hydro", hydro_rects)
+        out = engine.execute(Query(relations=("roads", "hydro")))
+        print(out.result.n_pairs, engine.metrics_snapshot())
 """
 
 from repro.engine.artifacts import ArtifactStore, ResultStore
@@ -52,7 +51,7 @@ from repro.engine.cache import (
     ResultCache,
 )
 from repro.engine.catalog import Catalog, CatalogEntry
-from repro.engine.engine import EngineResult, SpatialQueryEngine
+from repro.engine.engine import EngineResult
 from repro.engine.executor import Executor
 from repro.engine.faults import (
     FaultPlan,
@@ -93,7 +92,6 @@ from repro.engine.workload import (
     make_workload,
     run_concurrent_workload,
     run_workload,
-    sharded_engine_for_dataset,
 )
 
 __all__ = [
@@ -128,7 +126,6 @@ __all__ = [
     "ServeResponse",
     "ServingFrontend",
     "ShardedEngine",
-    "SpatialQueryEngine",
     "engine_for_dataset",
     "lpt_makespan",
     "make_workload",
@@ -138,7 +135,6 @@ __all__ = [
     "run_concurrent_workload",
     "run_workload",
     "serve_http",
-    "sharded_engine_for_dataset",
     "span_meter",
     "validate_prometheus",
     "validate_trace",

@@ -60,11 +60,6 @@ from repro.geom.rect import RECT_BYTES
 _MANIFEST = "manifest.json"
 _COLUMNS = ("xlo", "xhi", "ylo", "yhi", "rid")
 
-#: Per-shard artifact subdirectories of a sharded ``--artifact-dir``
-#: are named ``shard-XX/replica-YY`` — the marker the layout guards
-#: below use to tell a sharded root from a single-engine one.
-SHARD_DIR_PREFIX = "shard-"
-
 #: Default number of hottest artifacts a background prewarm stages.
 DEFAULT_PREWARM_LIMIT = 8
 
@@ -73,41 +68,22 @@ DEFAULT_PREWARM_LIMIT = 8
 _HEAT_FLUSH_EVERY = 8
 
 
-def _sharded_subdirs(root: str) -> List[str]:
-    try:
-        return sorted(
-            d for d in os.listdir(root)
-            if d.startswith(SHARD_DIR_PREFIX)
-            and os.path.isdir(os.path.join(root, d))
-        )
-    except OSError:
-        return []
+def check_store_layout(root: str) -> None:
+    """Refuse an artifact root written in the flat single-store layout.
 
-
-def check_store_layout(root: str, sharded: bool) -> None:
-    """Refuse a genuinely conflicting on-disk artifact layout.
-
-    A sharded deployment keys each replica's store under
-    ``root/shard-XX/replica-YY``; a single engine writes its manifest
-    at ``root`` directly.  Pointing one at the other's directory would
-    silently run cold forever (tokens never match across layouts) —
-    worse, a single engine would start interleaving its files with the
-    sharded tree.  Both mistakes are caught here with a clear error;
-    an empty or same-layout directory passes.
+    The engine keys each replica's store under
+    ``root/shard-XX/replica-YY``.  A root holding a top-level manifest
+    is a flat store (one :class:`ArtifactStore` pointed straight at
+    it); serving from it would silently run cold forever (tokens never
+    match across layouts) while interleaving the sharded tree with its
+    files, so it is refused with a clear error.  An empty or sharded
+    root passes.
     """
-    manifest_here = os.path.isfile(os.path.join(root, _MANIFEST))
-    shard_dirs = _sharded_subdirs(root)
-    if sharded and manifest_here:
+    if os.path.isfile(os.path.join(root, _MANIFEST)):
         raise ValueError(
             f"artifact dir {root!r} holds a single-engine store "
-            f"(top-level {_MANIFEST}); pick a fresh directory for a "
-            "sharded engine or point a single engine at it"
-        )
-    if not sharded and shard_dirs and not manifest_here:
-        raise ValueError(
-            f"artifact dir {root!r} holds a sharded store "
-            f"({shard_dirs[0]}/...); pick a fresh directory for a "
-            "single engine or point a sharded engine at it"
+            f"(top-level {_MANIFEST}); pick a fresh directory for the "
+            "sharded layout (shard-XX/replica-YY)"
         )
 
 

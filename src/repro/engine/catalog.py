@@ -108,6 +108,24 @@ class CatalogEntry:
     def has_tree(self) -> bool:
         return self._tree is not None
 
+    def free(self) -> None:
+        """Drop the built stream blocks and index pages from the disk.
+
+        Called when the entry is replaced or dropped, so re-registering
+        a relation does not leak its previous representation.  No
+        simulated I/O is charged (deleting a file is free here, as for
+        temporary runs).
+        """
+        if self._stream is not None:
+            self._stream.free()
+            self._stream = None
+        if self._tree is not None:
+            self.catalog.store.free(
+                pid for level in self._tree.pages_per_level
+                for pid in level
+            )
+            self._tree = None
+
     @property
     def fingerprint(self) -> int:
         """Content identity of the registered rectangles (CRC32 + size).
@@ -168,7 +186,8 @@ class Catalog:
         """(Re-)register a relation; returns the fresh entry.
 
         Re-registering an existing name replaces the entry under a new
-        version, so previously cached results for it become unreachable.
+        version, so previously cached results for it become unreachable,
+        and frees the replaced entry's disk blocks.
         """
         rect_list = list(rects)
         if not rect_list:
@@ -177,7 +196,10 @@ class Catalog:
             self, name, rect_list, universe, geometries, self._next_version
         )
         self._next_version += 1
+        old = self.entries.get(name)
         self.entries[name] = entry
+        if old is not None:
+            old.free()
         return entry
 
     def get(self, name: str) -> CatalogEntry:
@@ -190,7 +212,7 @@ class Catalog:
             ) from None
 
     def drop(self, name: str) -> None:
-        self.get(name)
+        self.get(name).free()
         del self.entries[name]
 
     def names(self) -> List[str]:

@@ -1,44 +1,45 @@
-"""The serving facade: catalog + optimizer + executor + caches + metrics.
+"""One strip replica's execution stack: catalog, optimizer, executor.
 
-:class:`SpatialQueryEngine` is the persistent layer the one-shot
-experiment runner never needed: register relations once, then serve an
-arbitrary stream of :class:`~repro.engine.query.Query` objects.  Every
-query flows
+:class:`ShardReplica` is what every ``(shard, replica)`` slot of a
+:class:`~repro.engine.shard.ShardedEngine` runs.  It owns its slice of
+the data and the whole simulated hardware stack that slice is served
+from — environment, disk, page store, LRU buffer pool — so two
+replicas never share counters, and a long-lived replica's buffer pool
+stays warm across queries (the serving advantage the paper's one-shot
+experiments could not show).  Every sub-query flows
 
-    cache lookup -> optimize (cost model) -> execute -> cache fill
+    optimize (cost model) -> execute
 
-and the engine accounts for each stage: simulated I/O and CPU seconds
-on the engine's machine (with the partitioned executor's parallel CPU
-savings applied), raw page/byte counters, result-cache and buffer-pool
-hit rates — all visible through ``metrics_snapshot()``.
-
-The engine deliberately owns its whole simulated hardware stack
-(environment, disk, page store, LRU buffer pool), so two engines never
-share counters and a long-lived engine's buffer pool stays warm across
-queries — the serving advantage the paper's one-shot experiments could
-not show.
+and the replica accounts for both stages: simulated I/O and CPU
+seconds on its machine (with the partitioned executor's parallel CPU
+savings applied) and raw page/byte counters, all recorded in its
+:class:`~repro.engine.metrics.EngineMetrics`, which the coordinator
+merges.
 
 It also owns one :class:`~repro.engine.resources.ResourceBudget` — by
 default the paper's internal-memory grant plus the ST buffer pool
 (Section 5.1's 24 MB + 22 MB, scaled) — attached to the environment so
-every layer of *execution* charges the same ledger: the buffer pool's
+every layer of execution charges the same ledger: the buffer pool's
 resident pages, external sorts' run-formation chunks, and the
 partitioned executor's tile grants (with disk spill beyond them).
-Result memory is governed separately by the size-aware cache's own
-byte bound.  Queries whose minimum grant exceeds the whole budget are
-refused up front (:class:`~repro.engine.resources.AdmissionError`).
+Sub-queries whose minimum grant exceeds the whole budget are refused
+up front (:class:`~repro.engine.resources.AdmissionError`).
+
+Result caching, latency tracking, slow-query logging, thread safety
+and the pool lifecycle belong to the coordinator: a replica always runs
+on the coordinator's shared worker pool, and the coordinator holds the
+replica's lock around every call.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from repro.core.join_result import JoinResult
-from repro.engine.artifacts import ArtifactStore, check_store_layout
-from repro.engine.faults import FaultPlan
-from repro.engine.cache import ArtifactCache, ResultCache
+from repro.engine.artifacts import ArtifactStore
+from repro.engine.cache import ArtifactCache
 from repro.engine.catalog import Catalog, GeometryMap
 from repro.engine.executor import (
     DEFAULT_MIN_SHIP_RECTS,
@@ -46,8 +47,8 @@ from repro.engine.executor import (
     DEFAULT_TILES_PER_SIDE,
     Executor,
 )
+from repro.engine.faults import FaultPlan
 from repro.engine.metrics import EngineMetrics
-from repro.engine.obs import SlowQueryLog
 from repro.engine.optimizer import Optimizer, PhysicalPlan, PlanActuals
 from repro.engine.pool import DeadlineExceeded, WorkerPool
 from repro.engine.query import Query
@@ -60,62 +61,6 @@ from repro.sim.scale import DEFAULT_SCALE, ScaleConfig
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.pages import PageStore
-
-#: Results larger than this many pairs are served but not cached (a
-#: result cache must not become an accidental copy of the data).
-MAX_CACHED_PAIRS = 250_000
-
-
-def _copy_result(result: JoinResult) -> JoinResult:
-    """A structurally independent copy (pairs and detail are fresh)."""
-    return replace(
-        result,
-        pairs=list(result.pairs) if result.pairs is not None else None,
-        detail=dict(result.detail),
-    )
-
-
-def flatten_cache_keys(artifacts: dict, budget: dict,
-                       store_snapshot: Optional[dict] = None) -> dict:
-    """Artifact-cache and budget snapshots as serving-snapshot keys.
-
-    One flattening shared by :meth:`SpatialQueryEngine.metrics_snapshot`
-    and :meth:`ShardedEngine.metrics_snapshot` (whose inputs are shard
-    sums), so single-engine and sharded reports stay key-compatible —
-    a counter added here appears in both.
-    """
-    return {
-        "artifact_cache_entries": artifacts["entries"],
-        "artifact_cache_bytes": artifacts["bytes"],
-        "artifact_cache_hits": artifacts["hits"],
-        "artifact_cache_misses": artifacts["misses"],
-        "artifact_cache_hit_rate": artifacts["hit_rate"],
-        "artifact_cache_evictions": artifacts["evictions"],
-        "artifact_cache_invalidations": artifacts["invalidations"],
-        "artifact_kinds": artifacts["kinds"],
-        "artifact_disk_restores": artifacts["disk_restores"],
-        "artifact_disk_restore_bytes": artifacts["disk_restore_bytes"],
-        "artifact_store": store_snapshot,
-        "budget_total_bytes": budget["total_bytes"],
-        "budget_in_use_bytes": budget["in_use_bytes"],
-        "budget_high_water_bytes": budget["high_water_bytes"],
-        "budget_high_water_by_category":
-            budget["high_water_by_category"],
-        "budget_overcommits": budget["overcommits"],
-    }
-
-
-def flatten_result_cache_keys(cache: "ResultCache") -> dict:
-    """A result cache's gauges as serving-snapshot keys (shared too)."""
-    return {
-        "result_cache_entries": len(cache),
-        "result_cache_bytes": cache.bytes_used,
-        "result_cache_hits": cache.hits,
-        "result_cache_misses": cache.misses,
-        "result_cache_hit_rate": cache.hit_rate,
-        "result_cache_evictions": cache.evictions,
-        "result_cache_invalidations": cache.invalidations,
-    }
 
 
 @dataclass
@@ -131,34 +76,22 @@ class EngineResult:
     trace: Optional[Span] = None
 
 
-class SpatialQueryEngine:
-    """A persistent spatial-join serving layer over the repro stack."""
-
-    #: ``execute`` is not reentrant: the env page counter, metrics and
-    #: result cache are mutated without locks.  Concurrent deployments
-    #: must serialize calls (the serving front-end does) or shard
-    #: (``ShardedEngine`` holds one lock per replica engine).
-    execute_thread_safe = False
+class ShardReplica:
+    """One replica of one shard strip: the full plan/execute stack."""
 
     def __init__(
         self,
+        worker_pool: WorkerPool,
         scale: ScaleConfig = DEFAULT_SCALE,
         machine: MachineSpec = MACHINE_3,
-        workers: int = 1,
-        cache_capacity: int = 64,
         auto_index: bool = True,
         histogram_grid: int = 32,
         memory_bytes: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
-        pool_kind: str = "process",
         min_ship_rects: int = DEFAULT_MIN_SHIP_RECTS,
         artifact_cache_bytes: Optional[int] = None,
         artifact_dir: Optional[str] = None,
         tile_batch_bytes: int = DEFAULT_TILE_BATCH_BYTES,
-        worker_pool: Optional[WorkerPool] = None,
         trace: bool = False,
-        slow_log_capacity: Optional[int] = None,
-        slow_threshold_seconds: float = 0.0,
         kernel: str = "auto",
         shm_min_bytes: Optional[int] = None,
         inline_plan_ops: Optional[int] = None,
@@ -166,7 +99,6 @@ class SpatialQueryEngine:
     ) -> None:
         self.scale = scale
         self.machine = machine
-        self.workers = max(1, workers)
         # The enforced internal-memory contract.  The default mirrors
         # the paper's Section 5.1 split: the algorithms' memory grant
         # plus the tree join's LRU pool, both already scaled.
@@ -184,44 +116,25 @@ class SpatialQueryEngine:
         self.catalog = Catalog(
             self.disk, self.store, histogram_grid=histogram_grid
         )
-        # The persistent worker pool (process-based by default) and the
-        # artifact cache are engine-lived: the pool is created lazily
-        # on the first shipped task and reused by every query;
-        # artifacts (distributed tiles and sorted runs) occupy only
-        # free budget bytes and are evicted before they could ever
-        # starve a tile grant.  ``artifact_cache_bytes=0`` disables
-        # artifact reuse; ``artifact_dir`` additionally persists
-        # artifacts to a content-keyed sidecar there, so a restarted
-        # engine pointed at the same directory restores its warm state
-        # lazily on first touch.
-        #
-        # ``worker_pool`` shares an externally-owned pool (a sharded
-        # catalog runs many engines on one pool); the engine then holds
-        # a ref-counted client handle, so ``close()`` releases its ref
-        # rather than tearing down a pool a sibling engine still uses.
-        # When a pool is shared, ``pool_kind`` is ignored (the pool
-        # already has a kind).
-        self.worker_pool = (
-            worker_pool if worker_pool is not None
-            else WorkerPool(self.workers, kind=pool_kind, faults=faults)
-        ).client()
-        self.faults = faults
+        # The coordinator's shared worker pool, through a ref-counted
+        # client so per-replica dispatch stays attributable.  The
+        # artifact cache occupies only free budget bytes and is evicted
+        # before it could ever starve a tile grant
+        # (``artifact_cache_bytes=0`` disables it); ``artifact_dir``
+        # additionally persists artifacts to a content-keyed sidecar,
+        # so a restarted replica pointed at the same directory restores
+        # its warm state lazily on first touch.
+        self.worker_pool = worker_pool.client()
         self.artifacts = ArtifactCache(
             budget=self.budget, max_bytes=artifact_cache_bytes,
         )
-        if artifact_dir:
-            # A single engine must not be pointed at the *root* of a
-            # sharded tree (tokens would never match and the files
-            # would interleave); ShardedEngine hands its per-replica
-            # engines leaf subdirectories, which pass this check.
-            check_store_layout(artifact_dir, sharded=False)
         self.artifact_store = (
             ArtifactStore(artifact_dir, faults=faults)
             if artifact_dir else None
         )
         self.optimizer = Optimizer(
             self.catalog, machine, scale,
-            workers=self.workers, auto_index=auto_index,
+            workers=worker_pool.workers, auto_index=auto_index,
             budget=self.budget,
             artifacts=self.artifacts,
             tiles_per_side=DEFAULT_TILES_PER_SIDE,
@@ -250,25 +163,10 @@ class SpatialQueryEngine:
             **extra,
         )
         self.kernel = self.executor.kernel
-        # The cache governs result memory with its own byte ledger
-        # (``cache_bytes``); the execution budget above stays dedicated
-        # to algorithm memory, as in the paper's Section 5.1 split.
-        self.cache = ResultCache(
-            capacity=cache_capacity, max_bytes=cache_bytes,
-        )
         self.metrics = EngineMetrics()
-        # Observability.  ``trace`` turns on per-query span trees; the
-        # slow-query log keeps the N worst traces (it also works with
-        # tracing off, logging latencies without trees).  Both are off
-        # by default so the serving hot path stays allocation-free.
+        #: Span trees per sub-query; the coordinator adopts them as
+        #: ``shard`` subtrees of its scatter trace.
         self.tracing = bool(trace)
-        if slow_log_capacity is None:
-            slow_log_capacity = 8 if self.tracing else 0
-        self.slow_log = (
-            SlowQueryLog(slow_log_capacity, slow_threshold_seconds)
-            if slow_log_capacity > 0 else None
-        )
-        self.last_trace: Optional[Span] = None
 
     # -- catalog management ----------------------------------------------
 
@@ -279,21 +177,15 @@ class SpatialQueryEngine:
         universe: Optional[Rect] = None,
         geometries: Optional[GeometryMap] = None,
     ) -> None:
-        """(Re-)register a relation and invalidate its cached results."""
+        """(Re-)register a relation and invalidate its artifacts."""
         self.catalog.register(
             name, rects, universe=universe, geometries=geometries
         )
-        self.cache.invalidate_relation(name)
         self.artifacts.invalidate_relation(name)
 
     def drop(self, name: str) -> None:
         self.catalog.drop(name)
-        self.cache.invalidate_relation(name)
         self.artifacts.invalidate_relation(name)
-
-    def universe_of(self, name: str) -> Rect:
-        """A relation's registered universe (shared with ShardedEngine)."""
-        return self.catalog.get(name).universe
 
     def prepare(self, *names: str) -> None:
         """Force-build streams, indexes and histograms now.
@@ -316,43 +208,25 @@ class SpatialQueryEngine:
         if self.artifact_store is not None:
             self.artifact_store.start_prewarm()
 
-    # -- serving ---------------------------------------------------------
+    # -- execution -------------------------------------------------------
 
     def execute(self, query: Query, analyze: bool = False,
                 cancel: Optional[Callable[[], None]] = None,
                 ) -> EngineResult:
-        # ``cancel`` is a cooperative cancellation checkpoint (see
-        # ShardedEngine.execute), honoured at entry and forwarded into
-        # the executor, whose partitioned path checks it per gathered
-        # task — and ships a CancelToken inside every pool payload so
-        # workers stop at tile boundaries too.
+        """Plan and run one sub-query over this replica's slice.
+
+        ``cancel`` is a cooperative cancellation checkpoint, honoured
+        at entry and forwarded into the executor, whose partitioned
+        path checks it per gathered task — and ships a CancelToken
+        inside every pool payload so workers stop at tile boundaries
+        too.  ``analyze`` attaches the measured actuals to the plan.
+        """
         if cancel is not None:
             cancel()
-        t_start = time.perf_counter()
         trace = (
-            Span("query", query=query.describe(), engine="single")
+            Span("query", query=query.describe())
             if self.tracing else None
         )
-        key = (query.canonical(),
-               self.catalog.versions_of(query.relations))
-        cached = self.cache.get(key)
-        if cached is not None:
-            result = _copy_result(cached)
-            result.detail["cache_hit"] = True
-            hit_wall = time.perf_counter() - t_start
-            self.metrics.record_hit(cached.n_pairs, hit_wall)
-            if trace is not None:
-                lookup = trace.child("lookup", hit=True)
-                lookup.wall_seconds = hit_wall
-                trace.wall_seconds = hit_wall
-                trace.attrs["pairs"] = cached.n_pairs
-            self._observe_query(query, hit_wall, 0.0, trace, True)
-            return EngineResult(
-                query=query, result=result, plan=None, from_cache=True,
-                wall_seconds=hit_wall, sim_wall_seconds=0.0,
-                trace=trace,
-            )
-
         # Snapshot counters before compiling: plan-time lazy builds
         # (streams, indexes, histograms) are charged to the query that
         # triggered them, as the catalog's laziness contract promises.
@@ -363,16 +237,13 @@ class SpatialQueryEngine:
             self.env.cpu_ops, obs.io_seconds, obs.cpu_seconds,
         )
         t0 = time.perf_counter()
-        if trace is not None:
-            lookup = trace.child("lookup", hit=False)
-            lookup.wall_seconds = t0 - t_start
         with span_meter(self.env, self.machine, trace, "plan") as pspan:
             plan = self.optimizer.compile(query)
             if pspan is not None:
                 pspan.attrs["strategy"] = plan.strategy
         if plan.min_grant_bytes > self.budget.total_bytes:
             # Admission control: even with maximal spilling this query
-            # could not run under the engine's memory contract; refuse
+            # could not run under the replica's memory contract; refuse
             # it instead of degrading every other query.
             self.metrics.record_rejection()
             raise AdmissionError(
@@ -404,6 +275,9 @@ class SpatialQueryEngine:
         sim_wall = d_io + max(0.0, d_cpu - saved)
 
         strategy = str(result.detail.get("strategy", plan.strategy))
+        spilled = int(result.detail.get("spilled_rects", 0))
+        restores = int(result.detail.get("artifact_restores", 0))
+        restore_bytes = int(result.detail.get("artifact_restore_bytes", 0))
         self.metrics.record_execution(
             strategy=strategy,
             n_pairs=result.n_pairs,
@@ -412,13 +286,9 @@ class SpatialQueryEngine:
             cpu_ops=d_cpu_ops,
             sim_io_seconds=d_io, sim_cpu_seconds=d_cpu,
             sim_wall_seconds=sim_wall, wall_seconds=wall,
-            spilled_rects=int(result.detail.get("spilled_rects", 0)),
-            artifact_restores=int(
-                result.detail.get("artifact_restores", 0)
-            ),
-            artifact_restore_bytes=int(
-                result.detail.get("artifact_restore_bytes", 0)
-            ),
+            spilled_rects=spilled,
+            artifact_restores=restores,
+            artifact_restore_bytes=restore_bytes,
         )
         self.metrics.record_estimate(
             strategy, plan.estimate.io_seconds, d_io
@@ -426,7 +296,7 @@ class SpatialQueryEngine:
         if analyze:
             # EXPLAIN ANALYZE contract: the actuals attached to the
             # plan are the exact deltas just fed to the metrics, so
-            # ``plan.explain()`` and ``metrics_snapshot()`` can never
+            # ``plan.explain()`` and the metrics snapshot can never
             # disagree about what a query cost.
             plan.actuals = PlanActuals(
                 pages_read=d_pages_r, pages_written=d_pages_w,
@@ -435,25 +305,15 @@ class SpatialQueryEngine:
                 sim_io_seconds=d_io, sim_cpu_seconds=d_cpu,
                 sim_wall_seconds=sim_wall, wall_seconds=wall,
                 pairs=result.n_pairs,
-                spilled_rects=int(result.detail.get("spilled_rects", 0)),
-                artifact_restores=int(
-                    result.detail.get("artifact_restores", 0)
-                ),
-                artifact_restore_bytes=int(
-                    result.detail.get("artifact_restore_bytes", 0)
-                ),
+                spilled_rects=spilled,
+                artifact_restores=restores,
+                artifact_restore_bytes=restore_bytes,
             )
-        if result.pairs is None or len(result.pairs) <= MAX_CACHED_PAIRS:
-            # Cache a private copy: the caller owns the returned object
-            # and may mutate it without corrupting future hits.
-            with span_meter(self.env, self.machine, trace, "finalize"):
-                self.cache.put(key, _copy_result(result))
-        total_wall = time.perf_counter() - t_start
         if trace is not None:
-            # The root span carries the whole query's deltas — the same
-            # numbers record_execution saw — so summing a trace always
-            # reconciles with the metrics snapshot.
-            trace.wall_seconds = total_wall
+            # The root span carries the whole sub-query's deltas — the
+            # same numbers record_execution saw — so summing a trace
+            # always reconciles with the metrics.
+            trace.wall_seconds = time.perf_counter() - t0
             trace.pages_read = d_pages_r
             trace.pages_written = d_pages_w
             trace.bytes_read = d_bytes_r
@@ -466,35 +326,10 @@ class SpatialQueryEngine:
                 "pairs": result.n_pairs,
                 "sim_wall_seconds": sim_wall,
             })
-        self._observe_query(query, total_wall, sim_wall, trace, False)
         return EngineResult(
             query=query, result=result, plan=plan, from_cache=False,
             wall_seconds=wall, sim_wall_seconds=sim_wall, trace=trace,
         )
-
-    def _observe_query(self, query: Query, wall: float, sim_wall: float,
-                       trace: Optional[Span], from_cache: bool) -> None:
-        if trace is not None:
-            self.last_trace = trace
-        if self.slow_log is not None:
-            self.slow_log.offer(
-                query.describe(), wall, sim_wall,
-                trace=trace, from_cache=from_cache,
-            )
-
-    def explain_analyze(self, query: Query) -> str:
-        """Execute the query and return its plan annotated with actuals.
-
-        The cache is bypassed on lookup (a hit would have no plan to
-        annotate) but still filled, so EXPLAIN ANALYZE warms the cache
-        like any served query.
-        """
-        key = (query.canonical(),
-               self.catalog.versions_of(query.relations))
-        self.cache.pop(key)
-        out = self.execute(query, analyze=True)
-        assert out.plan is not None
-        return out.plan.explain()
 
     def explain(self, query: Query) -> str:
         """The physical plan as text, without executing the join.
@@ -507,52 +342,3 @@ class SpatialQueryEngine:
         :meth:`prepare` first for a side-effect-free explain.
         """
         return self.optimizer.compile(query).explain()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def close(self) -> None:
-        """Release this engine's worker-pool ref; it stays queryable.
-
-        The engine holds a ref-counted client on its pool: closing
-        releases that ref, and the pool's executor stops only when the
-        last client lets go — so closing one engine never tears a
-        *shared* pool out from under a sibling shard.  The executor is
-        recreated lazily if another partitioned query arrives, so
-        ``close`` is safe to call eagerly (tests, short scripts);
-        long-lived servers call it on drain.  Also usable as a context
-        manager.
-        """
-        self.worker_pool.release()
-
-    def __enter__(self) -> "SpatialQueryEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- observability ---------------------------------------------------
-
-    def metrics_snapshot(self) -> dict:
-        """Engine + cache + buffer-pool + budget counters in one dict."""
-        snap = self.metrics.snapshot()
-        snap["kernel"] = self.kernel
-        snap["worker_pool"] = self.worker_pool.snapshot()
-        snap["slow_query_log"] = (
-            self.slow_log.snapshot()
-            if self.slow_log is not None else None
-        )
-        snap.update(flatten_cache_keys(
-            self.artifacts.snapshot(), self.budget.snapshot(),
-            self.artifact_store.snapshot()
-            if self.artifact_store is not None else None,
-        ))
-        snap.update(flatten_result_cache_keys(self.cache))
-        snap.update({
-            "buffer_pool_requests": self.pool.requests,
-            "buffer_pool_hit_rate": self.pool.hit_rate,
-            "buffer_pool_evictions": self.pool.evictions,
-            "buffer_pool_resident_pages": self.pool.resident_pages,
-            "indexes_built": self.catalog.indexes_built,
-            "relations": self.catalog.names(),
-        })
-        return snap

@@ -1100,11 +1100,11 @@ class _TaskShipper:
         if self._use_shm and size * RECT_BYTES >= self.ex.shm_min_bytes:
             payload, shm_names = self._shm_payload(fn, payload)
         if shm_names:
-            # Inflight must be registered BEFORE submit: the broken-pool
-            # submit fallback resets the shm manager and then runs the
-            # task inline immediately — without the inflight pin the
-            # reset would close the very segments the payload points at.
-            self.pool.shm.add_inflight(shm_names)
+            # ``refs_for`` already took the task's in-flight pins, before
+            # submit: the broken-pool submit fallback resets the shm
+            # manager and then runs the task inline immediately —
+            # without the pins the reset would close the very segments
+            # the payload points at.
             self.shm_tasks += 1
         fut = self.pool.submit(fn, payload, units=tiles)
         fut._repro_payload = payload
@@ -1131,6 +1131,8 @@ class _TaskShipper:
                     slots.append((pi, si))
         if not tiles:
             return payload, ()
+        # Takes one in-flight pin per segment, released by
+        # ``release_shm`` after gather.
         refs = self.pool.shm.refs_for(tiles)
         if refs is None:
             return payload, ()

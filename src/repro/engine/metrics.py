@@ -1,16 +1,18 @@
-"""Per-engine serving metrics.
+"""Per-replica execution metrics and their aggregation.
 
 The paper's experiment runner zeroes all counters before each measured
 run; a serving engine is the opposite — it accumulates forever, and
 operators read rates off the running totals.  :class:`EngineMetrics`
-tracks query traffic (served / cache hits / executed), the raw I/O
+is what one shard replica records per executed sub-query: the raw I/O
 counters delta-ed from the simulation environment around each
-execution, simulated seconds on the engine's machine, and real
+execution, simulated seconds on the replica's machine, and real
 wall-clock seconds spent inside the executor.
 
-``snapshot()`` flattens everything into one dict (the `/metrics`
-endpoint analogue); the engine merges in result-cache and buffer-pool
-statistics so one call tells the whole serving story.
+``snapshot()`` flattens everything into one dict;
+:func:`merge_snapshots` sums the replicas' snapshots, and the engine
+overlays its serving-level counters (queries served, cache hits,
+latency) and cache/buffer-pool statistics so one call tells the whole
+serving story (the `/metrics` endpoint analogue).
 """
 
 from __future__ import annotations
@@ -86,10 +88,9 @@ class LatencyTracker:
 
 @dataclass
 class EngineMetrics:
-    """Cumulative counters for one engine instance."""
+    """Cumulative counters for one shard replica."""
 
     queries_served: int = 0
-    cache_hits: int = 0
     queries_executed: int = 0
     #: Queries refused by admission control (minimum grant > budget).
     queries_rejected: int = 0
@@ -111,20 +112,6 @@ class EngineMetrics:
     #: engine snapshot alongside these.
     artifact_restores: int = 0
     artifact_restore_bytes: int = 0
-
-    #: Availability counters.  A single engine has no replicas to fail
-    #: over to, so these stay zero here — they exist so single-engine
-    #: and sharded snapshots stay key-compatible, and so
-    #: :func:`merge_snapshots` sums them like any physical counter.
-    #: ``replica_failures`` counts individual replica sub-query
-    #: failures, ``retries`` the re-attempts those failures triggered,
-    #: ``failovers`` the logical queries ultimately served by a
-    #: non-first-choice replica, ``replica_timeouts`` sub-queries that
-    #: exceeded the replica timeout (health-penalized post hoc).
-    failovers: int = 0
-    retries: int = 0
-    replica_failures: int = 0
-    replica_timeouts: int = 0
 
     pages_read: int = 0
     pages_written: int = 0
@@ -152,10 +139,8 @@ class EngineMetrics:
         default_factory=dict
     )
 
-    #: Per-query wall-clock latency: running aggregates plus a bounded
-    #: reservoir sample for tail percentiles (p50/p95).  Cache hits
-    #: count too — a served query is a served query, and hit latency is
-    #: exactly what the tail of a warm engine looks like.
+    #: Per-sub-query wall-clock latency: running aggregates plus a
+    #: bounded reservoir sample for tail percentiles (p50/p95).
     latency: LatencyTracker = field(
         default_factory=LatencyTracker, repr=False
     )
@@ -188,17 +173,6 @@ class EngineMetrics:
     def latency_percentile(self, q: float) -> float:
         """The ``q``-quantile (0..1) over the latency reservoir."""
         return self.latency.percentile(q)
-
-    def record_hit(self, n_pairs: int, wall_seconds: float) -> None:
-        """One result-cache hit.  ``wall_seconds`` is the *measured*
-        hit latency — there is deliberately no default: a synthetic 0.0
-        would drag p50/p95 toward zero on any cache-friendly workload,
-        which is exactly the tail distortion the percentiles exist to
-        catch."""
-        self.queries_served += 1
-        self.cache_hits += 1
-        self.pairs_returned += n_pairs
-        self.record_latency(wall_seconds)
 
     def record_estimate(self, strategy: str, estimated_io_seconds: float,
                         actual_io_seconds: float) -> None:
@@ -270,19 +244,10 @@ class EngineMetrics:
 
     # -- reading ---------------------------------------------------------
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return (
-            self.cache_hits / self.queries_served
-            if self.queries_served else 0.0
-        )
-
     def snapshot(self) -> Dict[str, object]:
         """One flat dict of every counter plus derived rates."""
         return {
             "queries_served": self.queries_served,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
             "queries_executed": self.queries_executed,
             "queries_rejected": self.queries_rejected,
             "queries_cancelled": self.queries_cancelled,
@@ -291,14 +256,6 @@ class EngineMetrics:
             "spill_queries": self.spill_queries,
             "artifact_restores": self.artifact_restores,
             "artifact_restore_bytes": self.artifact_restore_bytes,
-            "failovers": self.failovers,
-            "retries": self.retries,
-            "replica_failures": self.replica_failures,
-            "replica_timeouts": self.replica_timeouts,
-            "failover_rate": (
-                self.failovers / self.queries_executed
-                if self.queries_executed else 0.0
-            ),
             "pages_read": self.pages_read,
             "pages_written": self.pages_written,
             "bytes_read": self.bytes_read,

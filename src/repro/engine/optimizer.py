@@ -96,7 +96,7 @@ def effective_region(universe: Optional[Rect],
 class PlanActuals:
     """What one execution of a plan actually cost (EXPLAIN ANALYZE).
 
-    Filled by ``SpatialQueryEngine.execute(..., analyze=True)`` from
+    Filled by ``ShardReplica.execute(..., analyze=True)`` from
     the same environment deltas the engine feeds its metrics, so plan
     actuals and :class:`~repro.engine.metrics.EngineMetrics` deltas
     agree bit for bit on serial pools (and up to worker scheduling

@@ -164,15 +164,16 @@ class _ShmSegment:
 class ShmSegments:
     """Lifecycle manager for the pool's shared-memory tile segments.
 
-    One instance per :class:`WorkerPool` (so sharded engines on a
-    shared pool also share segments).  Tiles are packed on first ship
-    and *cached by tile identity*: re-shipping a cached artifact tile
-    re-sends a :class:`ShmTileRef` instead of re-packing (and instead
-    of re-pickling 40 bytes/rect).  A segment is unlinked and closed
-    when its last pinned tile dies and no shipped task still references
-    it; :meth:`reset` (pool shutdown, broken-pool demotion) unlinks
-    everything immediately, deferring only the closes that in-flight
-    recovery still needs.
+    One instance per :class:`WorkerPool` (so every shard replica on
+    the shared pool also shares segments).  Tiles are packed on first
+    ship and *cached by tile object* (weakly, so an entry dies with its
+    tile and a later tile can never inherit it): re-shipping a cached
+    artifact tile re-sends a :class:`ShmTileRef` instead of re-packing
+    (and instead of re-pickling 40 bytes/rect).  A segment is unlinked
+    and closed when its last pinned tile dies and no shipped task
+    still references it; :meth:`reset` (pool shutdown, broken-pool
+    demotion) unlinks everything immediately, deferring only the
+    closes that in-flight recovery still needs.
 
     Any ``OSError`` at segment creation (no ``/dev/shm``, rlimit)
     disables the manager for the pool's lifetime — shipping falls back
@@ -184,10 +185,12 @@ class ShmSegments:
         # thread mid-allocation while the lock is already held.
         self._lock = threading.RLock()
         self._segments: Dict[str, _ShmSegment] = {}
-        #: id(tile) -> (ref, finalizer); identity-keyed so the cached
-        #: artifact tiles the executor re-ships resolve to their
-        #: existing segment.
-        self._tile_refs: Dict[int, Tuple[ShmTileRef, object]] = {}
+        #: tile -> (ref, finalizer), weakly keyed by the tile object
+        #: itself, so the cached artifact tiles the executor re-ships
+        #: resolve to their existing segment and a dead tile's entry
+        #: leaves with it (an ``id()`` key could be inherited by a new
+        #: tile at the same address and ship the dead tile's bytes).
+        self._tile_refs = weakref.WeakKeyDictionary()
         self._seq = 0
         self.enabled = shared_memory is not None
         # -- counters (surfaced via WorkerPool.snapshot) ----------------
@@ -215,13 +218,17 @@ class ShmSegments:
 
     def refs_for(self, tiles: List[ColumnarTile]
                  ) -> Optional[List[ShmTileRef]]:
-        """Shared-memory refs for ``tiles``, packing the misses.
+        """Shared-memory refs for ``tiles`` of one task, packing misses.
 
         Cache hits (a tile already packed, verified by length) reuse
         their segment; all misses are packed together into **one** new
         segment — a batch of small tiles costs one ``shm_open``, not
-        one per tile.  Returns ``None`` when shared memory is
-        unavailable (caller ships pickled columns instead).
+        one per tile.  Every referenced segment gets the task's
+        in-flight pin under the same lock, so no concurrent
+        :meth:`task_done` or :meth:`reset` can free it before the task
+        ships; the caller releases the pins with :meth:`task_done` on
+        the refs' segment names.  Returns ``None`` when shared memory
+        is unavailable (caller ships pickled columns instead).
         """
         if not self.enabled:
             return None
@@ -229,7 +236,7 @@ class ShmSegments:
             refs: List[Optional[ShmTileRef]] = []
             misses: List[Tuple[int, ColumnarTile]] = []
             for i, tile in enumerate(tiles):
-                hit = self._tile_refs.get(id(tile))
+                hit = self._tile_refs.get(tile)
                 if hit is not None and hit[0].count == len(tile):
                     seg = self._segments.get(hit[0].segment)
                     if seg is not None and not seg.unlinked:
@@ -255,8 +262,10 @@ class ShmSegments:
                         tile, self._unpin, seg_name
                     )
                     fin.atexit = False
-                    self._tile_refs[id(tile)] = (ref, fin)
+                    self._tile_refs[tile] = (ref, fin)
                 self.bytes_packed += total
+            for name in {ref.segment for ref in refs}:
+                self._segments[name].inflight += 1
         return refs  # type: ignore[return-value]
 
     def _create_locked(self, nbytes: int) -> Optional[str]:
@@ -277,13 +286,6 @@ class ShmSegments:
         return shm.name
 
     # -- task / pin accounting -------------------------------------------
-
-    def add_inflight(self, names) -> None:
-        with self._lock:
-            for name in names:
-                seg = self._segments.get(name)
-                if seg is not None:
-                    seg.inflight += 1
 
     def task_done(self, names) -> None:
         """Gather-side release: one in-flight count per task per segment."""
@@ -348,7 +350,7 @@ class ShmSegments:
         segments.
         """
         with self._lock:
-            for _tid, (_ref, fin) in list(self._tile_refs.items()):
+            for _ref, fin in list(self._tile_refs.values()):
                 fin.detach()
             self._tile_refs.clear()
             for name, seg in list(self._segments.items()):
@@ -930,10 +932,6 @@ class PoolClient:
             return
         self._released = True
         self.pool._detach()
-
-    def shutdown(self) -> None:
-        """Alias for :meth:`release` (the pre-sharing engine verb)."""
-        self.release()
 
     # -- observability ---------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Concurrent serving front-end: admission queueing, deadlines, shedding.
 
-The engines below this layer answer one blocking call at a time and
-protect themselves with a hard gate: a query whose minimum grant cannot
+The engine below this layer answers blocking calls and protects
+itself with a hard gate: a query whose minimum grant cannot
 fit raises :class:`~repro.engine.resources.AdmissionError`.  That is
 the right contract for a library call and the wrong one for a server —
 under a traffic burst, "refuse anything that does not fit right now"
@@ -69,8 +69,8 @@ concurrent-connection limits bound the exposure.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -180,24 +180,16 @@ class _Waiter:
 
 
 class ServingFrontend:
-    """Bounded concurrent admission over one (sharded) engine.
+    """Bounded concurrent admission over one engine.
 
     All queue and counter state is owned by the event loop — `submit`
     is a coroutine and every mutation happens between awaits, so no
     lock is needed.  Blocking engine calls run on a dedicated thread
     pool of ``max_concurrency`` workers; the admission budget decides
     how many queries may *hold grants* at once, the thread pool decides
-    how many actually execute.
-
-    Engines advertise concurrent execution with an
-    ``execute_thread_safe`` attribute (``ShardedEngine`` sets it: its
-    coordinator state is lock-guarded and each replica serializes its
-    own sub-queries).  An engine without it — a bare
-    ``SpatialQueryEngine``, whose ``execute`` is not reentrant — has
-    its calls serialized under a front-end lock: concurrency still
-    helps (admission, queueing and deadlines overlap), but only one
-    query touches the engine at a time, so the env counters, metrics
-    and result cache never race.
+    how many actually execute.  The engine
+    (:class:`~repro.engine.shard.ShardedEngine`) is thread-safe, so
+    executes overlap without any front-end serialization.
     """
 
     def __init__(self, engine, *,
@@ -236,12 +228,6 @@ class ServingFrontend:
             faults = getattr(engine, "faults", None)
         self.faults = faults
         self._queue: list = []  # FIFO of _Waiter (small; O(n) ops fine)
-        #: Engines that do not declare ``execute_thread_safe`` get
-        #: their blocking calls serialized here (see class docstring).
-        self._engine_lock = (
-            None if getattr(engine, "execute_thread_safe", False)
-            else threading.Lock()
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_concurrency, thread_name_prefix="serve"
         )
@@ -509,18 +495,11 @@ class ServingFrontend:
             self.in_flight_high_water = max(
                 self.in_flight_high_water, self.in_flight
             )
-            def call() -> EngineResult:
-                if self._engine_lock is None:
-                    return self.engine.execute(query, cancel=token)
-                with self._engine_lock:
-                    # The wait for the engine counts against the
-                    # deadline like any other checkpoint.
-                    token()
-                    return self.engine.execute(query, cancel=token)
-
             try:
                 out = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, call,
+                    self._executor,
+                    functools.partial(self.engine.execute, query,
+                                      cancel=token),
                 )
             finally:
                 self.in_flight -= 1

@@ -1,14 +1,17 @@
 """Scatter/gather serving over a sharded catalog.
 
-One :class:`~repro.engine.engine.SpatialQueryEngine` owns one catalog,
-one budget and one simulated disk — the single-box deployment.
-:class:`ShardedEngine` is the next tier: each registered relation is
-partitioned across N engine shards by **spatial region**, every shard
-runs the full catalog → optimizer → executor stack over its slice, and
-one shared :class:`~repro.engine.pool.WorkerPool` serves all of their
-partitioned sweeps (each engine holds a ref-counted
+:class:`ShardedEngine` is the engine: the one public front door that
+owns the result cache, the serving metrics, the trace root and the
+thread-safety contract.  Each registered relation is partitioned
+across N shards by **spatial region**; every shard is backed by
+:class:`~repro.engine.engine.ShardReplica` stacks (catalog → optimizer
+→ executor over the shard's slice), and one shared
+:class:`~repro.engine.pool.WorkerPool` serves all of their partitioned
+sweeps (each replica holds a ref-counted
 :class:`~repro.engine.pool.PoolClient`, so per-shard dispatch stays
-attributable and closing one shard never stops the others' pool).
+attributable).  ``shards=1`` is the single-box deployment: one replica
+over the whole relation, bit-identical in pairs and simulated
+accounting to running that replica alone.
 
 **Sharding rule.**  The first registered relation fixes N-1 vertical
 cut lines, placed so the relation's spatial histogram mass splits
@@ -48,14 +51,14 @@ exists for.
 ``memory_bytes`` is divided evenly; the default gives every shard the
 scaled paper budget), its own :class:`~repro.engine.cache.ArtifactCache`
 (version-bump invalidation stays per-shard — re-registering a relation
-invalidates every shard holding it, but never a *sibling engine's*
+invalidates every shard holding it, but never a *sibling replica's*
 unrelated artifacts) and its own metrics; :meth:`ShardedEngine.metrics_snapshot` aggregates them with
 :func:`~repro.engine.metrics.merge_snapshots` and overrides the
 serving-level counters (one logical query is one serve, however many
 shards it scattered to).
 
 **Availability.**  ``replicas=R`` backs every strip with R identical
-engines (same slice, same budget — replicas model separate boxes) on
+replicas (same slice, same budget — replicas model separate boxes) on
 the one shared pool.  Scatter picks a live replica per shard by
 round-robin over a health score; a replica whose sub-query raises is
 marked unhealthy, the failure is recorded (counters + a ``failover``
@@ -67,11 +70,10 @@ Semantic errors (:class:`~repro.engine.resources.AdmissionError`,
 unknown relations) are deterministic across replicas and re-raise
 immediately — failing over would just repeat them R times.
 
-**Durability.**  With ``artifact_dir`` set, every replica engine gets
-its own keyed leaf (``root/shard-XX/replica-YY``) of one artifact
-tree, so a restarted sharded engine rewarms each shard from disk
-exactly like a restarted single engine — including each store's
-background prewarm of its hottest artifacts.  Result-cache entries
+**Durability.**  With ``artifact_dir`` set, every replica gets its
+own keyed leaf (``root/shard-XX/replica-YY``) of one artifact tree, so
+a restarted engine rewarms each shard from disk — including each
+store's background prewarm of its hottest artifacts.  Result-cache entries
 persist **per shard** (``root/shard-XX/results``, shared by the
 shard's replicas and content-addressed by the shard slice's
 fingerprints + the canonical sub-query): the scatter still runs after
@@ -101,14 +103,7 @@ from repro.engine.artifacts import (
 )
 from repro.engine.cache import ResultCache
 from repro.engine.catalog import GeometryMap, rects_fingerprint
-from repro.engine.engine import (
-    MAX_CACHED_PAIRS,
-    EngineResult,
-    SpatialQueryEngine,
-    _copy_result,
-    flatten_cache_keys,
-    flatten_result_cache_keys,
-)
+from repro.engine.engine import EngineResult, ShardReplica
 from repro.engine.executor import (
     DEFAULT_MIN_SHIP_RECTS,
     DEFAULT_TILE_BATCH_BYTES,
@@ -128,6 +123,56 @@ from repro.engine.trace import SPAN_METRIC_FIELDS, Span
 from repro.geom.rect import Rect, mbr_of
 from repro.sim.machines import MACHINE_3, MachineSpec
 from repro.sim.scale import DEFAULT_SCALE, ScaleConfig
+
+#: Results larger than this many pairs are served but not cached (a
+#: result cache must not become an accidental copy of the data).
+MAX_CACHED_PAIRS = 250_000
+
+
+def _copy_result(result: JoinResult) -> JoinResult:
+    """A structurally independent copy (pairs and detail are fresh)."""
+    return _replace(
+        result,
+        pairs=list(result.pairs) if result.pairs is not None else None,
+        detail=dict(result.detail),
+    )
+
+
+def flatten_cache_keys(artifacts: dict, budget: dict,
+                       store_snapshot: Optional[dict] = None) -> dict:
+    """Artifact-cache and budget snapshots as serving-snapshot keys."""
+    return {
+        "artifact_cache_entries": artifacts["entries"],
+        "artifact_cache_bytes": artifacts["bytes"],
+        "artifact_cache_hits": artifacts["hits"],
+        "artifact_cache_misses": artifacts["misses"],
+        "artifact_cache_hit_rate": artifacts["hit_rate"],
+        "artifact_cache_evictions": artifacts["evictions"],
+        "artifact_cache_invalidations": artifacts["invalidations"],
+        "artifact_kinds": artifacts["kinds"],
+        "artifact_disk_restores": artifacts["disk_restores"],
+        "artifact_disk_restore_bytes": artifacts["disk_restore_bytes"],
+        "artifact_store": store_snapshot,
+        "budget_total_bytes": budget["total_bytes"],
+        "budget_in_use_bytes": budget["in_use_bytes"],
+        "budget_high_water_bytes": budget["high_water_bytes"],
+        "budget_high_water_by_category":
+            budget["high_water_by_category"],
+        "budget_overcommits": budget["overcommits"],
+    }
+
+
+def flatten_result_cache_keys(cache: ResultCache) -> dict:
+    """A result cache's gauges as serving-snapshot keys."""
+    return {
+        "result_cache_entries": len(cache),
+        "result_cache_bytes": cache.bytes_used,
+        "result_cache_hits": cache.hits,
+        "result_cache_misses": cache.misses,
+        "result_cache_hit_rate": cache.hit_rate,
+        "result_cache_evictions": cache.evictions,
+        "result_cache_invalidations": cache.invalidations,
+    }
 
 
 def balanced_cuts(rects: Sequence[Rect], universe: Rect, shards: int,
@@ -208,31 +253,6 @@ def lpt_makespan(walls: Sequence[float], lanes: int) -> float:
     return max(loads)
 
 
-class _ShardMetricsView:
-    """The counters :func:`run_workload` reads, summed over shards.
-
-    ``sim_wall_seconds`` is the exception: shards execute concurrently
-    on one shared pool, so the deployment's simulated serving time is
-    the scatter layer's accumulated *critical path*
-    (:func:`lpt_makespan` per query), not the sum of every engine's
-    wall — summing would bill a 4-shard scatter as if the shards ran
-    back to back.
-    """
-
-    def __init__(self, owner: "ShardedEngine") -> None:
-        self._owner = owner
-
-    @property
-    def sim_wall_seconds(self) -> float:
-        return self._owner.sim_wall_total
-
-    @property
-    def spilled_rects(self) -> int:
-        return sum(
-            e.metrics.spilled_rects for e in self._owner.all_engines
-        )
-
-
 class _ShardArtifactsView:
     """Per-shard artifact caches presented as one summed snapshot."""
 
@@ -241,8 +261,8 @@ class _ShardArtifactsView:
 
     def snapshot(self) -> Dict[str, object]:
         merged: Dict[str, object] = {}
-        for engine in self._owner.all_engines:
-            sum_counters(merged, engine.artifacts.snapshot())
+        for replica in self._owner.all_replicas:
+            sum_counters(merged, replica.artifacts.snapshot())
         probes = merged.get("hits", 0) + merged.get("misses", 0)
         merged["hit_rate"] = (
             merged.get("hits", 0) / probes if probes else 0.0
@@ -260,7 +280,7 @@ class _ShardBudgetView:
     summed high water is an upper bound on the true momentary peak:
     conservative for memory sizing, and exact once shards execute
     concurrently.  Per-slice peaks are in ``high_water_by_category``
-    and the per-shard engines' own snapshots.
+    and the replicas' own budgets.
     """
 
     def __init__(self, owner: "ShardedEngine") -> None:
@@ -268,19 +288,18 @@ class _ShardBudgetView:
 
     def snapshot(self) -> Dict[str, object]:
         merged: Dict[str, object] = {}
-        for engine in self._owner.all_engines:
-            sum_counters(merged, engine.budget.snapshot())
+        for replica in self._owner.all_replicas:
+            sum_counters(merged, replica.budget.snapshot())
         return merged
 
 
 class ShardedEngine:
-    """N engine shards, one shared worker pool, exact scatter/gather."""
+    """N shards, one shared worker pool, exact scatter/gather.
 
-    #: ``execute`` tolerates concurrent callers (coordinator state is
-    #: lock-guarded, replica engines serialize their own sub-queries).
-    #: The serving front-end reads this to decide whether it must
-    #: serialize engine calls itself.
-    execute_thread_safe = True
+    Thread-safe: coordinator state is lock-guarded and every replica
+    runs under its own lock, so concurrent callers (the serving
+    front-end's in-flight queries) need no outer serialization.
+    """
 
     def __init__(
         self,
@@ -323,7 +342,7 @@ class ShardedEngine:
         #: coordinator is synchronous, so an in-flight sub-query is
         #: never cancelled — the timeout shapes *future* routing.
         self.replica_timeout_seconds = replica_timeout_seconds
-        #: One pool for every shard and replica; each engine below
+        #: One pool for every shard and replica; each replica below
         #: holds a ref-counted client.
         self.pool = WorkerPool(max(1, workers), kind=pool_kind,
                                faults=faults)
@@ -333,10 +352,10 @@ class ShardedEngine:
         )
         self.artifact_dir = artifact_dir
         if artifact_dir:
-            check_store_layout(artifact_dir, sharded=True)
+            check_store_layout(artifact_dir)
 
         def _leaf_dir(k: int, r: int) -> Optional[str]:
-            # One keyed leaf per replica engine: two live ArtifactStores
+            # One keyed leaf per replica: two live ArtifactStores
             # must never share a manifest, and a replica's warm state
             # is its own (replicas model separate boxes).
             if not artifact_dir:
@@ -347,39 +366,29 @@ class ShardedEngine:
 
         # Result caching happens once, at the scatter level (below):
         # verbatim repeats hit the top-level cache before any shard is
-        # touched, so per-shard result caches would only store the
-        # same answers a second time — shard engines run with theirs
-        # disabled.  Artifact caches stay per-shard: they serve
-        # *overlapping* (not just verbatim) queries.
-        self._replica_engines: List[List[SpatialQueryEngine]] = [
+        # touched.  Artifact caches stay per-replica: they serve
+        # *overlapping* (not just verbatim) queries.  Replicas trace
+        # when the engine does: their span trees become ``shard``
+        # subtrees of the scatter trace.
+        self._replicas: List[List[ShardReplica]] = [
             [
-                SpatialQueryEngine(
-                    scale=scale, machine=machine, workers=workers,
-                    cache_capacity=0,
+                ShardReplica(
+                    self.pool, scale=scale, machine=machine,
                     histogram_grid=histogram_grid,
-                    memory_bytes=per_shard, cache_bytes=None,
+                    memory_bytes=per_shard,
                     min_ship_rects=min_ship_rects,
                     artifact_cache_bytes=artifact_cache_bytes,
                     artifact_dir=_leaf_dir(k, r),
                     tile_batch_bytes=tile_batch_bytes,
-                    worker_pool=self.pool,
+                    trace=trace,
                     kernel=kernel,
                     shm_min_bytes=shm_min_bytes,
                     faults=faults,
-                    # Shard engines trace (their span trees become
-                    # shard subtrees of the scatter trace) but never
-                    # keep their own slow logs — slowness is a
-                    # scatter-level property.
-                    trace=trace,
-                    slow_log_capacity=0,
                 )
                 for r in range(self.replicas)
             ]
             for k in range(self.shards)
         ]
-        #: Back-compat view: shard k's *primary* replica, the engine
-        #: pre-replica callers indexed as ``engines[k]``.
-        self.engines = [group[0] for group in self._replica_engines]
         #: Persisted result-cache entries, one store per *shard*
         #: (replicas of a shard share it — any of them can save or
         #: serve a sub-result, so durability survives replica death).
@@ -419,13 +428,15 @@ class ShardedEngine:
         #: scatters (and concurrent callers of ``execute``) share:
         #: replica health/rotation, serving counters, the top-level
         #: result cache and latency tracker, and the sim critical-path
-        #: accumulator.  Never held across a shard engine's execution.
+        #: accumulator.  Never held across a replica's execution.
         self._lock = threading.Lock()
-        #: One lock per replica engine: ``SpatialQueryEngine.execute``
-        #: is not reentrant, so two concurrent logical queries landing
-        #: on the same replica serialize there (distinct replicas and
-        #: distinct shards overlap freely).
-        self._engine_locks: List[List[threading.Lock]] = [
+        #: One lock per replica: a replica's env counters, metrics and
+        #: catalog are not reentrant, so two concurrent logical queries
+        #: landing on the same replica serialize there (distinct
+        #: replicas and distinct shards overlap freely), and
+        #: register/drop wait for running sub-queries before freeing
+        #: the replaced relation's disk blocks.
+        self._replica_locks: List[List[threading.Lock]] = [
             [threading.Lock() for _ in range(self.replicas)]
             for _ in range(self.shards)
         ]
@@ -439,7 +450,7 @@ class ShardedEngine:
         #: Accumulated scatter critical path (LPT makespan per query)
         #: — the deployment's simulated serving clock.
         self.sim_wall_total = 0.0
-        self.kernel = self.engines[0].kernel
+        self.kernel = self._replicas[0][0].kernel
         self._cuts: Optional[List[float]] = None
         self._versions: Dict[str, int] = {}
         self._next_version = 1
@@ -448,13 +459,9 @@ class ShardedEngine:
         #: Top-level result cache: a verbatim repeat skips the scatter.
         self.cache = ResultCache(capacity=cache_capacity,
                                  max_bytes=cache_bytes)
-        # Aggregate facades so serving harnesses (run_workload, the
-        # serve-bench CLI) read a sharded deployment exactly like a
-        # single engine.
-        self.metrics = _ShardMetricsView(self)
+        #: Summed views over the replicas' artifact caches and budgets.
         self.artifacts = _ShardArtifactsView(self)
         self.budget = _ShardBudgetView(self)
-        self.worker_pool = self.pool
         # -- serving-level counters -------------------------------------
         self.queries_served = 0
         self.cache_hits = 0
@@ -486,10 +493,10 @@ class ShardedEngine:
         #: one per rectangle); re-registration replaces an entry and
         #: drop removes it, so the gauge tracks the *current* catalog.
         self._replica_counts: Dict[str, int] = {}
-        # Observability: scatter-level per-query latency (one sample
-        # per logical query, hits included — satisfying the same
-        # measured-hit-latency contract the single engine keeps), plus
-        # the scatter-level trace/slow-log pair.
+        # Observability: per-logical-query latency (one sample per
+        # query, hits included, each one measured — a synthetic 0.0
+        # for hits would drag the percentiles toward zero), plus the
+        # trace root and the slow-query log.
         self.latency = LatencyTracker()
         self.tracing = bool(trace)
         if slow_log_capacity is None:
@@ -506,9 +513,9 @@ class ShardedEngine:
         return sum(self._replica_counts.values())
 
     @property
-    def all_engines(self) -> List[SpatialQueryEngine]:
-        """Every engine — all replicas of all shards (facade sums)."""
-        return [e for group in self._replica_engines for e in group]
+    def all_replicas(self) -> List[ShardReplica]:
+        """Every replica of every shard (facade sums)."""
+        return [r for group in self._replicas for r in group]
 
     @property
     def unhealthy_replicas(self) -> int:
@@ -571,7 +578,7 @@ class ShardedEngine:
         present = [False] * self.shards
         fingerprints: List[Optional[int]] = [None] * self.shards
         replicas = -len(rect_list)
-        for k, group in enumerate(self._replica_engines):
+        for k, group in enumerate(self._replicas):
             lo, hi = self.strip_of(k)
             subset = [r for r in rect_list if r.xhi >= lo and r.xlo <= hi]
             # Boundary-replica accounting counts strips, not engine
@@ -586,13 +593,13 @@ class ShardedEngine:
                      if r.rid in geometries}
                     if geometries is not None else None
                 )
-                for engine in group:
-                    engine.register(name, subset, universe=uni,
-                                    geometries=sub_geoms)
+                for replica, lock in zip(group, self._replica_locks[k]):
+                    with lock:
+                        replica.register(name, subset, universe=uni,
+                                         geometries=sub_geoms)
                 present[k] = True
             elif was_present[k]:
-                for engine in group:
-                    engine.drop(name)
+                self._drop_on_shard(k, name)
         self._replica_counts[name] = replicas
         self._present[name] = present
         self._universes[name] = uni
@@ -604,16 +611,21 @@ class ShardedEngine:
 
     def drop(self, name: str) -> None:
         self._check_known(name)
-        for k, group in enumerate(self._replica_engines):
+        for k in range(self.shards):
             if self._present[name][k]:
-                for engine in group:
-                    engine.drop(name)
+                self._drop_on_shard(k, name)
         del self._present[name]
         del self._universes[name]
         del self._versions[name]
         del self._replica_counts[name]
         self._fingerprints.pop(name, None)
         self.cache.invalidate_relation(name)
+
+    def _drop_on_shard(self, k: int, name: str) -> None:
+        for replica, lock in zip(self._replicas[k],
+                                 self._replica_locks[k]):
+            with lock:
+                replica.drop(name)
 
     def universe_of(self, name: str) -> Rect:
         self._check_known(name)
@@ -623,19 +635,26 @@ class ShardedEngine:
         return sorted(self._versions)
 
     def prepare(self, *names: str) -> None:
-        """Force-build every replica's streams/indexes/histograms now."""
+        """Force-build every replica's streams/indexes/histograms now.
+
+        Lazy builds otherwise land in the first query that needs them;
+        preparing also prestarts the shared worker pool and starts each
+        artifact store's background prewarm.
+        """
         for name in (names or self.names()):
             self._check_known(name)
-            for k, group in enumerate(self._replica_engines):
+            for k, group in enumerate(self._replicas):
                 if self._present[name][k]:
-                    for engine in group:
-                        engine.prepare(name)
+                    for replica, lock in zip(group,
+                                             self._replica_locks[k]):
+                        with lock:
+                            replica.prepare(name)
 
     def wait_prewarm(self, timeout: Optional[float] = None) -> None:
         """Block until every replica's background prewarm finishes."""
-        for engine in self.all_engines:
-            if engine.artifact_store is not None:
-                engine.artifact_store.wait_prewarm(timeout)
+        for replica in self.all_replicas:
+            if replica.artifact_store is not None:
+                replica.artifact_store.wait_prewarm(timeout)
 
     def _check_known(self, name: str) -> None:
         if name not in self._versions:
@@ -772,7 +791,7 @@ class ShardedEngine:
         events: List[Dict[str, object]] = []
         last_exc: Optional[BaseException] = None
         for attempt, r in enumerate(order):
-            engine = self._replica_engines[k][r]
+            replica = self._replicas[k][r]
             if attempt > 0:
                 with self._lock:
                     self.retries += 1
@@ -795,9 +814,9 @@ class ShardedEngine:
                                 f"injected replica failure "
                                 f"(shard {k} replica {r})"
                             )
-                with self._engine_locks[k][r]:
-                    out = engine.execute(sub, analyze=analyze,
-                                         cancel=cancel)
+                with self._replica_locks[k][r]:
+                    out = replica.execute(sub, analyze=analyze,
+                                          cancel=cancel)
             except (AdmissionError, KeyError, DeadlineExceeded):
                 raise
             except Exception as exc:
@@ -857,6 +876,14 @@ class ShardedEngine:
                 )
             return self._scatter_pool
 
+    def _cache_key(self, query: Query) -> tuple:
+        """Result-cache key: the canonical query plus the versions of
+        every relation it reads (re-registration orphans old keys)."""
+        for name in set(query.relations):
+            self._check_known(name)
+        return (query.canonical(),
+                tuple((n, self._versions[n]) for n in query.relations))
+
     def execute(self, query: Query, analyze: bool = False,
                 cancel: Optional[Callable[[], None]] = None,
                 ) -> EngineResult:
@@ -864,11 +891,11 @@ class ShardedEngine:
 
         Thread-safe: many callers (a concurrent serving front-end's
         in-flight queries) may execute at once; coordinator state is
-        lock-guarded and each replica engine serializes its own
-        sub-queries.  ``cancel`` is a cooperative cancellation
-        checkpoint — called on entry, before each shard dispatch and
-        at gather, and forwarded into every replica engine, whose
-        partitioned executor re-checks it per gathered pool task (a
+        lock-guarded and each replica serializes its own sub-queries.
+        ``cancel`` is a cooperative cancellation checkpoint — called on
+        entry, before each shard dispatch and at gather, and forwarded
+        into every replica, whose partitioned executor re-checks it
+        per gathered pool task (a
         :class:`~repro.engine.pool.CancelToken` additionally rides
         inside worker payloads for tile-boundary checks); raising from
         it (e.g. :class:`~repro.engine.serve.DeadlineExceeded`)
@@ -881,10 +908,7 @@ class ShardedEngine:
             Span("query", query=query.describe(), engine="sharded")
             if self.tracing else None
         )
-        for name in set(query.relations):
-            self._check_known(name)
-        key = (query.canonical(),
-               tuple((n, self._versions[n]) for n in query.relations))
+        key = self._cache_key(query)
         with self._lock:
             cached = self.cache.get(key)
         if cached is not None:
@@ -1026,7 +1050,7 @@ class ShardedEngine:
             if analyze and out.plan is not None:
                 shard_plans[k] = out.plan.explain()
             if scatter is not None and out.trace is not None:
-                # The shard engine's whole query trace becomes one
+                # The replica's whole sub-query trace becomes one
                 # "shard" subtree of the scatter span.
                 sp = out.trace
                 sp.name = "shard"
@@ -1106,8 +1130,8 @@ class ShardedEngine:
                 "sim_wall_seconds": sim_wall,
             })
         self._observe_query(query, wall, sim_wall, trace, False)
-        # Same rule as the single engine: count-only results (no pair
-        # list) always cache; collected results cache up to the bound.
+        # Count-only results (no pair list) always cache; collected
+        # results cache up to the bound.
         if result.pairs is None or len(result.pairs) <= MAX_CACHED_PAIRS:
             with self._lock:
                 self.cache.put(key, _copy_result(result))
@@ -1126,9 +1150,8 @@ class ShardedEngine:
                 trace=trace, from_cache=from_cache,
             )
 
-    def explain(self, query: Query) -> str:
-        """The scatter plan plus every participating shard's plan."""
-        participating, pruned = self.plan_shards(query)
+    def _explain_lines(self, participating: List[int], pruned: List[int],
+                       plan_of: Callable[[int], str]) -> str:
         lines = [
             f"Sharded : {self.shards} shards, scatter to "
             f"{participating or 'none'}"
@@ -1137,18 +1160,61 @@ class ShardedEngine:
         for k in participating:
             lo, hi = self.strip_of(k)
             lines.append(f"-- shard {k} (x in [{lo:g}, {hi:g}]) --")
-            lines.append(self.engines[k].explain(query))
+            lines.append(plan_of(k))
         return "\n".join(lines)
+
+    def explain(self, query: Query) -> str:
+        """The scatter plan plus every participating shard's plan.
+
+        Pricing the index paths needs page counts, so explaining on an
+        unprepared catalog can trigger lazy builds that no query is
+        charged for; call :meth:`prepare` first for a side-effect-free
+        explain.
+        """
+        participating, pruned = self.plan_shards(query)
+
+        def plan_of(k: int) -> str:
+            with self._replica_locks[k][0]:
+                return self._replicas[k][0].explain(query)
+
+        return self._explain_lines(participating, pruned, plan_of)
+
+    def explain_analyze(self, query: Query) -> str:
+        """Execute the query; return every shard's plan with actuals.
+
+        The result cache is bypassed on lookup (a hit would have no
+        plan to annotate) but still filled, so EXPLAIN ANALYZE warms
+        the cache like any served query.  Each shard's actuals are the
+        exact deltas its replica fed to the merged metrics.  A shard
+        served from the persisted result store executed nothing and
+        shows no plan.
+        """
+        key = self._cache_key(query)
+        with self._lock:
+            self.cache.pop(key)
+        out = self.execute(query, analyze=True)
+        detail = out.result.detail
+        plans = detail["shard_plans"]
+        return self._explain_lines(
+            detail["shards_queried"], detail["shards_pruned"],
+            lambda k: plans.get(k, "(restored from the result store)"),
+        )
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Release every replica's pool ref; the last one stops the pool."""
+        """Release every replica's pool ref; the last one stops the pool.
+
+        The engine stays queryable: a later partitioned query re-takes
+        the refs and recreates the executor lazily, and the next close
+        stops it again.  Closing twice is a no-op.  Also usable as a
+        context manager.
+        """
         if self._scatter_pool is not None:
             self._scatter_pool.shutdown(wait=True)
             self._scatter_pool = None
-        for engine in self.all_engines:
-            engine.close()
+        for replica in self.all_replicas:
+            replica.worker_pool.release()
 
     def __enter__(self) -> "ShardedEngine":
         return self
@@ -1170,7 +1236,7 @@ class ShardedEngine:
         construction.
         """
         snap = merge_snapshots(
-            [e.metrics.snapshot() for e in self.all_engines]
+            [r.metrics.snapshot() for r in self.all_replicas]
         )
         return self._finish_snapshot(snap)
 
@@ -1186,14 +1252,13 @@ class ShardedEngine:
     def _finish_snapshot(self, snap: Dict[str, object]) -> Dict[str, object]:
         snap["kernel"] = self.kernel
         # Per-replica disk sidecars merge into one store snapshot (None
-        # when the deployment has no artifact dir, like the single
-        # engine's key).
+        # when the deployment has no artifact dir).
         store_snap: Optional[Dict[str, object]] = None
         if self.artifact_dir:
             store_snap = {}
-            for e in self.all_engines:
-                if e.artifact_store is not None:
-                    sum_counters(store_snap, e.artifact_store.snapshot())
+            for r in self.all_replicas:
+                if r.artifact_store is not None:
+                    sum_counters(store_snap, r.artifact_store.snapshot())
         snap.update(flatten_cache_keys(
             self.artifacts.snapshot(), self.budget.snapshot(),
             store_snap,
@@ -1220,8 +1285,8 @@ class ShardedEngine:
             "queries_executed": self.queries_executed,
             "pairs_returned": self.pairs_returned,
             "duplicates_eliminated": self.duplicates_eliminated,
-            # Latency is a per-logical-query distribution: the shard
-            # engines' merged samples would count one scatter as N
+            # Latency is a per-logical-query distribution: the
+            # replicas' merged samples would count one scatter as N
             # queries, so the scatter layer's own tracker overrides.
             **self.latency.snapshot(),
             "slow_query_log": (
@@ -1232,8 +1297,7 @@ class ShardedEngine:
             "shard_cuts": list(self._cuts or []),
             "shards_pruned_total": self.shards_pruned_total,
             "boundary_replicas": self.boundary_replicas,
-            # Availability: the scatter layer owns these (shard-engine
-            # snapshots carry them as zeros for key compatibility).
+            # Availability: the scatter layer owns these.
             "replicas": self.replicas,
             "failovers": self.failovers,
             "retries": self.retries,
@@ -1282,28 +1346,27 @@ class ShardedEngine:
                         n for n in self.names() if self._present[n][i]
                     ],
                 }
-                for i, group in enumerate(self._replica_engines)
+                for i, group in enumerate(self._replicas)
             ],
-            # Result-cache gauges are the scatter-level cache's own:
-            # it is the only result cache in a sharded deployment
-            # (shard engines run with theirs disabled).
+            # Result-cache gauges: the scatter-level cache is the only
+            # result cache.
             **flatten_result_cache_keys(self.cache),
             "buffer_pool_requests": sum(
-                e.pool.requests for e in self.all_engines
+                e.pool.requests for e in self.all_replicas
             ),
             "buffer_pool_hit_rate": (
                 sum(e.pool.hit_rate * e.pool.requests
-                    for e in self.all_engines)
-                / max(1, sum(e.pool.requests for e in self.all_engines))
+                    for e in self.all_replicas)
+                / max(1, sum(e.pool.requests for e in self.all_replicas))
             ),
             "buffer_pool_evictions": sum(
-                e.pool.evictions for e in self.all_engines
+                e.pool.evictions for e in self.all_replicas
             ),
             "buffer_pool_resident_pages": sum(
-                e.pool.resident_pages for e in self.all_engines
+                e.pool.resident_pages for e in self.all_replicas
             ),
             "indexes_built": sum(
-                e.catalog.indexes_built for e in self.all_engines
+                e.catalog.indexes_built for e in self.all_replicas
             ),
             "relations": self.names(),
         })

@@ -4,10 +4,8 @@ A production engine sees a *mix*: dense nationwide overlays, localized
 window joins (the Section 6.3 scenario), and plenty of exact repeats —
 dashboards refresh the same query.  :func:`make_workload` generates
 such a mix deterministically from a seed; :func:`run_workload` replays
-it against a :class:`~repro.engine.engine.SpatialQueryEngine` — or a
-:class:`~repro.engine.shard.ShardedEngine`, whose aggregate facades
-expose the same serving surface — and returns the serving report that
-both the ``serve-bench`` CLI subcommand and
+it against a :class:`~repro.engine.shard.ShardedEngine` and returns
+the serving report that both the ``serve-bench`` CLI subcommand and
 ``benchmarks/bench_engine_throughput.py`` print.
 """
 
@@ -16,10 +14,9 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.data.datasets import build_dataset
-from repro.engine.engine import SpatialQueryEngine
 from repro.engine.faults import FaultPlan
 from repro.engine.query import Query
 from repro.engine.serve import ServingFrontend
@@ -27,9 +24,6 @@ from repro.engine.shard import ShardedEngine
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3, MachineSpec
 from repro.sim.scale import ScaleConfig
-
-#: Anything run_workload can serve against.
-ServingEngine = Union[SpatialQueryEngine, ShardedEngine]
 
 #: Workload mix: share of queries that repeat an earlier query verbatim
 #: (cache-hit traffic), and share of localized window queries among the
@@ -41,65 +35,7 @@ WINDOW_SHARE = 0.6
 def engine_for_dataset(
     dataset: str,
     scale: ScaleConfig,
-    machine: MachineSpec = MACHINE_3,
-    workers: int = 1,
-    cache_capacity: int = 64,
-    memory_bytes: Optional[int] = None,
-    cache_bytes: Optional[int] = None,
-    pool_kind: str = "process",
-    min_ship_rects: Optional[int] = None,
-    artifact_cache_bytes: Optional[int] = None,
-    artifact_dir: Optional[str] = None,
-    tile_batch_bytes: Optional[int] = None,
-    trace: bool = False,
-    slow_log_capacity: Optional[int] = None,
-    slow_threshold_seconds: float = 0.0,
-    kernel: str = "auto",
-    shm_min_bytes: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> SpatialQueryEngine:
-    """An engine with one Table 2 dataset registered as two relations.
-
-    ``memory_bytes`` overrides the engine's memory budget (default:
-    the scaled paper budget); ``cache_bytes`` bounds the result cache
-    in bytes.  ``pool_kind``/``min_ship_rects``/``tile_batch_bytes``
-    configure the persistent worker pool and its batch shipping,
-    ``artifact_cache_bytes`` caps (or with 0 disables) the artifact
-    cache, and ``artifact_dir`` persists artifacts to a sidecar
-    directory that survives engine restarts.  ``kernel`` selects the
-    sweep implementation and ``shm_min_bytes`` tunes (or with a
-    negative value disables) shared-memory tile shipping.
-    """
-    ds = build_dataset(dataset, scale)
-    extra = {}
-    if min_ship_rects is not None:
-        extra["min_ship_rects"] = min_ship_rects
-    if tile_batch_bytes is not None:
-        extra["tile_batch_bytes"] = tile_batch_bytes
-    engine = SpatialQueryEngine(
-        kernel=kernel, shm_min_bytes=shm_min_bytes,
-        scale=scale, machine=machine, workers=workers,
-        cache_capacity=cache_capacity,
-        memory_bytes=memory_bytes, cache_bytes=cache_bytes,
-        pool_kind=pool_kind,
-        artifact_cache_bytes=artifact_cache_bytes,
-        artifact_dir=artifact_dir,
-        faults=faults,
-        trace=trace,
-        slow_log_capacity=slow_log_capacity,
-        slow_threshold_seconds=slow_threshold_seconds,
-        **extra,
-    )
-    engine.register("roads", ds.roads, universe=ds.universe)
-    engine.register("hydro", ds.hydro, universe=ds.universe)
-    engine.prepare()
-    return engine
-
-
-def sharded_engine_for_dataset(
-    dataset: str,
-    scale: ScaleConfig,
-    shards: int,
+    shards: int = 1,
     machine: MachineSpec = MACHINE_3,
     workers: int = 1,
     cache_capacity: int = 64,
@@ -120,14 +56,22 @@ def sharded_engine_for_dataset(
     result_store_bytes: Optional[int] = None,
     scatter_threads: Optional[int] = None,
 ) -> ShardedEngine:
-    """Like :func:`engine_for_dataset`, but scattered over N shards.
+    """An engine with one Table 2 dataset registered as two relations.
 
-    ``memory_bytes`` here is the *total* budget, sliced evenly across
-    the shards; all shards share one worker pool of ``workers``
-    workers.  ``replicas`` places that many identical engines on every
-    shard (scatter fails over between them), ``artifact_dir`` persists
-    per-replica artifacts and the shared result store under one root,
-    and ``faults`` threads a :class:`~repro.engine.faults.FaultPlan`
+    The relations are scattered over ``shards`` spatial strips (one by
+    default).  ``memory_bytes`` is the *total* budget, sliced evenly
+    across the shards (default: the scaled paper budget per shard);
+    ``cache_bytes`` bounds the result cache in bytes.  All shards
+    share one worker pool of ``workers`` workers, configured by
+    ``pool_kind``/``min_ship_rects``/``tile_batch_bytes``;
+    ``artifact_cache_bytes`` caps (or with 0 disables) the artifact
+    caches.  ``kernel`` selects the sweep implementation and
+    ``shm_min_bytes`` tunes (or with a negative value disables)
+    shared-memory tile shipping.  ``replicas`` places that many
+    identical replicas on every shard (scatter fails over between
+    them), ``artifact_dir`` persists per-replica artifacts and the
+    per-shard result stores under one root that survives restarts, and
+    ``faults`` threads a :class:`~repro.engine.faults.FaultPlan`
     through the pool, the artifact stores and shard execution.
     """
     ds = build_dataset(dataset, scale)
@@ -194,7 +138,7 @@ def _quantile(ordered: List[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def run_workload(engine: ServingEngine,
+def run_workload(engine: ShardedEngine,
                  queries: List[Query]) -> Dict[str, object]:
     """Serve ``queries`` and summarize the engine's behaviour.
 
@@ -208,9 +152,9 @@ def run_workload(engine: ServingEngine,
     gauges (pool kind/size, artifact entries/bytes, the snapshot) and
     the budget snapshot reflect current engine state.
     """
-    sim_before = engine.metrics.sim_wall_seconds
-    spilled_before = engine.metrics.spilled_rects
-    pool_before = engine.worker_pool.snapshot()
+    sim_before = engine.sim_wall_total
+    spilled_before = engine.metrics_snapshot()["spilled_rects"]
+    pool_before = engine.pool.snapshot()
     art_before = engine.artifacts.snapshot()
     latencies: List[float] = []
     t0 = time.perf_counter()
@@ -221,8 +165,8 @@ def run_workload(engine: ServingEngine,
         latencies.append(out.wall_seconds)
     wall = time.perf_counter() - t0
     snap = engine.metrics_snapshot()
-    sim_wall = engine.metrics.sim_wall_seconds - sim_before
-    pool = engine.worker_pool.snapshot()
+    sim_wall = engine.sim_wall_total - sim_before
+    pool = engine.pool.snapshot()
     for key in ("tasks_dispatched", "tasks_inline", "tiles_dispatched",
                 "tiles_inline", "pools_created", "fallbacks",
                 "demotions", "pool_tasks_cancelled"):
@@ -234,8 +178,6 @@ def run_workload(engine: ServingEngine,
     probes = artifacts["hits"] + artifacts["misses"]
     artifacts["hit_rate"] = artifacts["hits"] / probes if probes else 0.0
     latencies.sort()
-    last_trace = getattr(engine, "last_trace", None)
-    slow_log = getattr(engine, "slow_log", None)
     report: Dict[str, object] = {
         "queries": len(queries),
         "pairs_returned": total_pairs,
@@ -245,7 +187,7 @@ def run_workload(engine: ServingEngine,
         "queries_per_sec_sim": (
             len(queries) / sim_wall if sim_wall > 0 else float("inf")
         ),
-        "spilled_rects": engine.metrics.spilled_rects - spilled_before,
+        "spilled_rects": snap["spilled_rects"] - spilled_before,
         "budget": engine.budget.snapshot(),
         "pool": pool,
         "artifacts": artifacts,
@@ -254,10 +196,10 @@ def run_workload(engine: ServingEngine,
         "latency_max_seconds": latencies[-1] if latencies else 0.0,
         "metrics": snap,
     }
-    if last_trace is not None:
-        report["trace"] = last_trace.to_dict()
-    if slow_log is not None:
-        report["slow_queries"] = slow_log.entries()
+    if engine.last_trace is not None:
+        report["trace"] = engine.last_trace.to_dict()
+    if engine.slow_log is not None:
+        report["slow_queries"] = engine.slow_log.entries()
     return report
 
 
@@ -270,7 +212,7 @@ def assign_classes(n_queries: int, batch_share: float = 0.25,
 
 
 def run_concurrent_workload(
-    engine: ServingEngine,
+    engine: ShardedEngine,
     queries: List[Query],
     clients: int = 8,
     batch_share: float = 0.25,
@@ -357,9 +299,9 @@ def run_concurrent_workload(
             *(one(i) for i in range(len(queries)))
         )
 
-    sim_before = engine.metrics.sim_wall_seconds
-    spilled_before = engine.metrics.spilled_rects
-    pool_before = engine.worker_pool.snapshot()
+    sim_before = engine.sim_wall_total
+    spilled_before = engine.metrics_snapshot()["spilled_rects"]
+    pool_before = engine.pool.snapshot()
     art_before = engine.artifacts.snapshot()
     t0 = time.perf_counter()
     try:
@@ -372,8 +314,8 @@ def run_concurrent_workload(
     served = [r for r in responses if r.ok]
     latencies = sorted(r.wall_seconds for r in served)
     total_pairs = sum(r.pairs or 0 for r in served)
-    sim_wall = engine.metrics.sim_wall_seconds - sim_before
-    pool = engine.worker_pool.snapshot()
+    sim_wall = engine.sim_wall_total - sim_before
+    pool = engine.pool.snapshot()
     for key in ("tasks_dispatched", "tasks_inline", "tiles_dispatched",
                 "tiles_inline", "pools_created", "fallbacks",
                 "demotions", "pool_tasks_cancelled"):
@@ -385,6 +327,7 @@ def run_concurrent_workload(
     probes = artifacts["hits"] + artifacts["misses"]
     artifacts["hit_rate"] = artifacts["hits"] / probes if probes else 0.0
     serve_snap = frontend.snapshot()
+    metrics = frontend.metrics_snapshot()
     report: Dict[str, object] = {
         "queries": len(queries),
         "served": len(served),
@@ -399,7 +342,7 @@ def run_concurrent_workload(
         "queries_per_sec_sim": (
             len(served) / sim_wall if sim_wall > 0 else float("inf")
         ),
-        "spilled_rects": engine.metrics.spilled_rects - spilled_before,
+        "spilled_rects": metrics["spilled_rects"] - spilled_before,
         "budget": engine.budget.snapshot(),
         "pool": pool,
         "artifacts": artifacts,
@@ -407,6 +350,6 @@ def run_concurrent_workload(
         "latency_p95_seconds": _quantile(latencies, 0.95),
         "latency_max_seconds": latencies[-1] if latencies else 0.0,
         "serve": serve_snap,
-        "metrics": frontend.metrics_snapshot(),
+        "metrics": metrics,
     }
     return report

@@ -12,7 +12,7 @@ algorithm x machine row instead, so CI and the throughput bench can
 diff results mechanically.
 
 The ``serve-bench`` subcommand replays a mixed query workload against
-the persistent :class:`~repro.engine.engine.SpatialQueryEngine`::
+the persistent :class:`~repro.engine.shard.ShardedEngine`::
 
     python -m repro.experiments serve-bench --dataset NY --queries 40 \
         --workers 4 --scale quick --json
@@ -90,17 +90,17 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
     parser.add_argument(
         "--shards", type=int, default=1,
         help=(
-            "catalog shards served scatter/gather-style; >1 partitions "
-            "each relation across this many engines sharing one worker "
-            "pool (default: 1, a single engine)"
+            "spatial-strip shards served scatter/gather-style; each "
+            "relation is partitioned across this many shards sharing "
+            "one worker pool (default: 1)"
         ),
     )
     parser.add_argument(
         "--replicas", type=int, default=1,
         help=(
-            "replica engines per shard (sharded runs only); scatter "
-            "picks a healthy replica and fails over to the survivors "
-            "when one dies mid-query (default: 1)"
+            "replicas per shard; scatter picks a healthy replica and "
+            "fails over to the survivors when one dies mid-query "
+            "(default: 1)"
         ),
     )
     parser.add_argument(
@@ -154,9 +154,9 @@ def _parse_serve_args(argv: List[str]) -> argparse.Namespace:
         help=(
             "persist artifacts to this directory (content-keyed "
             "sidecar); a restarted serve-bench pointed at the same "
-            "directory restores its warm state lazily; with --shards "
-            "the root holds per-shard/per-replica subdirectories plus "
-            "a shared result store"
+            "directory restores its warm state lazily; the root holds "
+            "per-shard/per-replica subdirectories plus a result store "
+            "per shard"
         ),
     )
     parser.add_argument(
@@ -283,9 +283,8 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--result-store-bytes", type=int, default=None,
         help=(
-            "byte cap per shard result store (with --shards and "
-            "--artifact-dir); oldest entries evict LRU past it "
-            "(default: unbounded)"
+            "byte cap per shard result store (with --artifact-dir); "
+            "oldest entries evict LRU past it (default: unbounded)"
         ),
     )
     parser.add_argument(
@@ -435,7 +434,6 @@ def serve_bench(args: argparse.Namespace) -> int:
         make_workload,
         run_concurrent_workload,
         run_workload,
-        sharded_engine_for_dataset,
     )
 
     scale = _scale(args.scale)
@@ -455,31 +453,19 @@ def serve_bench(args: argparse.Namespace) -> int:
         "shm_min_bytes": -1 if args.no_shm else args.shm_min_bytes,
         "faults": faults,
     }
-    if args.shards > 1:
-        engine = sharded_engine_for_dataset(
-            args.dataset, scale, shards=args.shards,
-            workers=max(1, args.workers),
-            memory_bytes=args.memory_bytes,
-            pool_kind=args.pool_kind,
-            min_ship_rects=args.min_ship_rects,
-            artifact_cache_bytes=0 if args.no_artifact_cache else None,
-            tile_batch_bytes=args.tile_batch_bytes,
-            replicas=max(1, args.replicas),
-            artifact_dir=args.artifact_dir,
-            result_store_bytes=args.result_store_bytes,
-            **obs_kwargs,
-        )
-    else:
-        engine = engine_for_dataset(
-            args.dataset, scale, workers=max(1, args.workers),
-            memory_bytes=args.memory_bytes,
-            pool_kind=args.pool_kind,
-            min_ship_rects=args.min_ship_rects,
-            artifact_cache_bytes=0 if args.no_artifact_cache else None,
-            artifact_dir=args.artifact_dir,
-            tile_batch_bytes=args.tile_batch_bytes,
-            **obs_kwargs,
-        )
+    engine = engine_for_dataset(
+        args.dataset, scale, shards=args.shards,
+        workers=max(1, args.workers),
+        memory_bytes=args.memory_bytes,
+        pool_kind=args.pool_kind,
+        min_ship_rects=args.min_ship_rects,
+        artifact_cache_bytes=0 if args.no_artifact_cache else None,
+        tile_batch_bytes=args.tile_batch_bytes,
+        replicas=args.replicas,
+        artifact_dir=args.artifact_dir,
+        result_store_bytes=args.result_store_bytes,
+        **obs_kwargs,
+    )
     queries = make_workload(
         engine.universe_of("roads"), args.queries, seed=args.seed,
     )
@@ -545,24 +531,23 @@ def serve_bench(args: argparse.Namespace) -> int:
             f"{k}x{v}" for k, v in sorted(m["per_strategy"].items())
         )],
     ]
-    if args.shards > 1:
-        rows.append(["shards", (
-            f"{m['shards']}, "
-            f"{m['duplicates_eliminated']} boundary dups removed, "
-            f"{m['shards_pruned_total']} shard-queries pruned"
+    rows.append(["shards", (
+        f"{m['shards']}, "
+        f"{m['duplicates_eliminated']} boundary dups removed, "
+        f"{m['shards_pruned_total']} shard-queries pruned"
+    )])
+    rows.append(["replicas", (
+        f"{m['replicas']} per shard, "
+        f"{m['failovers']} failovers, "
+        f"{m['retries']} retries, "
+        f"{m['unhealthy_replicas']} unhealthy"
+    )])
+    if m.get("result_store") is not None:
+        rows.append(["result store", (
+            f"{m['result_disk_restores']} disk restores, "
+            f"{m['result_store']['saves']} saves, "
+            f"{m['result_store']['corrupt_drops']} corrupt dropped"
         )])
-        rows.append(["replicas", (
-            f"{m['replicas']} per shard, "
-            f"{m['failovers']} failovers, "
-            f"{m['retries']} retries, "
-            f"{m['unhealthy_replicas']} unhealthy"
-        )])
-        if m.get("result_store") is not None:
-            rows.append(["result store", (
-                f"{m['result_disk_restores']} disk restores, "
-                f"{m['result_store']['saves']} saves, "
-                f"{m['result_store']['corrupt_drops']} corrupt dropped"
-            )])
     if "serve" in report:
         s = report["serve"]
         rows.append(["front-end", (
@@ -602,8 +587,8 @@ def serve_bench(args: argparse.Namespace) -> int:
         ]
     title = (
         f"serve-bench {args.dataset} (scale {scale.name}): "
-        f"{args.queries} queries, {max(1, args.workers)} workers"
-        + (f", {args.shards} shards" if args.shards > 1 else "")
+        f"{args.queries} queries, {max(1, args.workers)} workers, "
+        f"{m['shards']} shards"
     )
     print(format_table(["Metric", "Value"], rows, title=title))
     return 0
@@ -614,10 +599,7 @@ def serve_cmd(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.engine.serve import ServingFrontend, serve_http
-    from repro.engine.workload import (
-        engine_for_dataset,
-        sharded_engine_for_dataset,
-    )
+    from repro.engine.workload import engine_for_dataset
 
     scale = _scale(args.scale)
     faults = None
@@ -628,21 +610,14 @@ def serve_cmd(args: argparse.Namespace) -> int:
             faults = FaultPlan.from_json(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
-    if args.shards > 1:
-        engine = sharded_engine_for_dataset(
-            args.dataset, scale, shards=args.shards,
-            workers=max(1, args.workers), pool_kind=args.pool_kind,
-            replicas=max(1, args.replicas),
-            artifact_dir=args.artifact_dir,
-            result_store_bytes=args.result_store_bytes,
-            faults=faults,
-        )
-    else:
-        engine = engine_for_dataset(
-            args.dataset, scale, workers=max(1, args.workers),
-            pool_kind=args.pool_kind, artifact_dir=args.artifact_dir,
-            faults=faults,
-        )
+    engine = engine_for_dataset(
+        args.dataset, scale, shards=args.shards,
+        workers=max(1, args.workers), pool_kind=args.pool_kind,
+        replicas=args.replicas,
+        artifact_dir=args.artifact_dir,
+        result_store_bytes=args.result_store_bytes,
+        faults=faults,
+    )
     fe_kwargs = {"faults": faults}
     if args.queue_depth is not None:
         fe_kwargs["queue_depth"] = args.queue_depth

@@ -9,7 +9,7 @@ performance consequences Section 6.2 analyzes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List
 
 from repro.storage.disk import Disk
 
@@ -55,6 +55,18 @@ class PageStore:
     def read(self, page_id: int) -> Any:
         """Read a page, charging one page of I/O."""
         return self.disk.read(self.offset_of(page_id))
+
+    def free(self, page_ids: Iterable[int]) -> None:
+        """Drop pages' payloads (a replaced index); charges no I/O.
+
+        Like :meth:`Disk.free`, space is not reclaimed and page ids are
+        never reused, so the layout of later allocations stays
+        deterministic.
+        """
+        for page_id in page_ids:
+            offset = self._offsets.pop(page_id, None)
+            if offset is not None:
+                self.disk.free(offset)
 
     def read_silent(self, page_id: int) -> Any:
         """Read a page without charging I/O (validation/reporting only)."""

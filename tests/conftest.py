@@ -1,6 +1,6 @@
 """Shared fixtures: a small simulated machine room, tiny datasets, and
-the differential-testing harness (brute force vs. single engine vs.
-sharded scatter/gather)."""
+the differential-testing harness (brute force vs. the engine at 1, 2
+and 4 shards on every pool kind)."""
 
 from __future__ import annotations
 
@@ -52,6 +52,29 @@ def unit_square() -> Rect:
 def make_env(scale: ScaleConfig = TEST_SCALE) -> SimEnv:
     """Non-fixture variant for hypothesis tests (fresh per example)."""
     return SimEnv(scale=scale, machines=ALL_MACHINES)
+
+
+def replica_of(engine, shard: int = 0, replica: int = 0):
+    """One shard replica of a :class:`ShardedEngine` — the catalog,
+    simulated disk, optimizer and executor tests inspect directly."""
+    return engine._replicas[shard][replica]
+
+
+def make_replica(pool=None, pool_kind: str = "serial", workers: int = 1,
+                 **kw):
+    """A bare :class:`~repro.engine.engine.ShardReplica` for tests of
+    the per-replica plan/execute stack (executor ``detail``, plans,
+    artifacts, knobs the engine does not expose).  It runs on ``pool``
+    or on a fresh pool of its own; release it with
+    ``replica.worker_pool.release()``."""
+    from repro.engine import WorkerPool
+    from repro.engine.engine import ShardReplica
+
+    kw.setdefault("scale", TEST_SCALE)
+    kw.setdefault("machine", MACHINE_3)
+    if pool is None:
+        pool = WorkerPool(workers, kind=pool_kind)
+    return ShardReplica(pool, **kw)
 
 
 # -- seeded adversarial dataset generators (no new deps) ---------------------
@@ -163,23 +186,23 @@ def brute_reference(
 
 @pytest.fixture
 def assert_same_pairs():
-    """Differential check: brute force == single engine == sharded.
+    """Differential check: brute force == the engine at every shard count.
 
     The returned callable runs one join (optionally windowed, or a
     self-join when ``rects_b`` is omitted) through the brute-force
-    oracle, a single :class:`SpatialQueryEngine`, and
-    :class:`ShardedEngine` at every requested shard count and pool
-    kind — all shards of one engine sharing one worker pool — and
-    asserts bit-identical sorted pair sets throughout, plus the
-    shared-pool accounting invariant (per-shard client counters sum to
-    the pool's totals).  ``replicas``/``faults`` replicate each shard
-    and inject a seeded :class:`~repro.engine.faults.FaultPlan` into
-    the sharded runs (fault rules re-arm per engine via
-    ``plan_factory``), which is how the chaos differentials assert
-    that replica failures never change pairs.  Returns the sorted
-    reference pairs.
+    oracle and :class:`ShardedEngine` at every requested shard count
+    and pool kind — all shards of one engine sharing one worker pool —
+    plus, whenever one shard is requested, a fault-free one-shard leg
+    on a ``"process"`` pool (real fork, pickling and shm shipping).
+    It asserts bit-identical sorted pair sets throughout, plus the
+    shared-pool accounting invariant (per-replica client counters sum
+    to the pool's totals).  ``replicas``/``faults`` replicate each
+    shard and inject a seeded :class:`~repro.engine.faults.FaultPlan`
+    (fault rules re-arm per engine via ``plan_factory``), which is how
+    the chaos differentials assert that replica failures never change
+    pairs.  Returns the sorted reference pairs.
     """
-    from repro.engine import Query, ShardedEngine, SpatialQueryEngine
+    from repro.engine import Query, ShardedEngine
 
     def check(
         rects_a: Sequence[Rect],
@@ -204,64 +227,52 @@ def assert_same_pairs():
             window=window, force=force,
         )
 
-        single = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
-            cache_capacity=0, min_ship_rects=0,
-        )
-        single.register("a", rects_a, universe=universe)
-        if not self_join:
-            single.register("b", rects_b, universe=universe)
-        got = sorted(single.execute(query).result.pairs)
-        assert got == ref, (
-            f"single engine diverged from brute force "
-            f"({len(got)} vs {len(ref)} pairs)"
-        )
-        single.close()
-
-        for kind in pool_kinds:
-            for n_shards in shard_counts:
-                faults = plan_factory() if plan_factory else None
-                sharded = ShardedEngine(
-                    shards=n_shards, scale=TEST_SCALE, machine=MACHINE_3,
-                    workers=workers, pool_kind=kind, cache_capacity=0,
-                    min_ship_rects=0, replicas=replicas, faults=faults,
-                    retry_backoff_seconds=0.0,
+        legs = [(kind, n_shards, replicas, plan_factory)
+                for kind in pool_kinds for n_shards in shard_counts]
+        if 1 in shard_counts and "process" not in pool_kinds:
+            legs.append(("process", 1, 1, None))
+        for kind, n_shards, n_replicas, factory in legs:
+            faults = factory() if factory else None
+            sharded = ShardedEngine(
+                shards=n_shards, scale=TEST_SCALE, machine=MACHINE_3,
+                workers=workers, pool_kind=kind, cache_capacity=0,
+                min_ship_rects=0, replicas=n_replicas, faults=faults,
+                retry_backoff_seconds=0.0,
+            )
+            sharded.register("a", rects_a, universe=universe)
+            if not self_join:
+                sharded.register("b", rects_b, universe=universe)
+            got = sorted(sharded.execute(query).result.pairs)
+            assert got == ref, (
+                f"{n_shards}-shard {kind}-pool engine diverged "
+                f"({len(got)} vs {len(ref)} pairs)"
+            )
+            # Shared-pool accounting: every replica submits through its
+            # own client, and the clients' counters must sum to the
+            # pool's totals — cross-shard traffic is never double- or
+            # under-counted.
+            for counter in ("tasks_dispatched", "tasks_inline",
+                            "tiles_dispatched", "tiles_inline"):
+                per_replica = sum(
+                    getattr(r.worker_pool, counter)
+                    for r in sharded.all_replicas
                 )
-                sharded.register("a", rects_a, universe=universe)
-                if not self_join:
-                    sharded.register("b", rects_b, universe=universe)
-                got = sorted(sharded.execute(query).result.pairs)
-                assert got == ref, (
-                    f"{n_shards}-shard {kind}-pool engine diverged "
-                    f"({len(got)} vs {len(ref)} pairs)"
+                assert per_replica == getattr(sharded.pool, counter), (
+                    f"{counter}: replica sum {per_replica} != pool "
+                    f"total {getattr(sharded.pool, counter)}"
                 )
-                # Shared-pool accounting: every engine (all replicas)
-                # submits through its own client, and the clients'
-                # counters must sum to the pool's totals —
-                # cross-shard traffic is never double- or
-                # under-counted.
-                for counter in ("tasks_dispatched", "tasks_inline",
-                                "tiles_dispatched", "tiles_inline"):
-                    per_shard = sum(
-                        getattr(e.worker_pool, counter)
-                        for e in sharded.all_engines
-                    )
-                    assert per_shard == getattr(sharded.pool, counter), (
-                        f"{counter}: shard sum {per_shard} != pool "
-                        f"total {getattr(sharded.pool, counter)}"
-                    )
-                snap = sharded.metrics_snapshot()
-                assert snap["queries_served"] == 1
-                assert snap["pairs_returned"] == len(ref)
-                if expect_failovers and faults is not None:
-                    fired = faults.total_injected
-                    assert snap["failovers"] >= (1 if fired else 0), (
-                        f"{n_shards}-shard {kind}-pool: "
-                        f"{fired} faults fired but no failover counted"
-                    )
-                    assert snap["retries"] >= snap["failovers"]
-                sharded.close()
-                assert sharded.pool.refs == 0
+            snap = sharded.metrics_snapshot()
+            assert snap["queries_served"] == 1
+            assert snap["pairs_returned"] == len(ref)
+            if expect_failovers and faults is not None:
+                fired = faults.total_injected
+                assert snap["failovers"] >= (1 if fired else 0), (
+                    f"{n_shards}-shard {kind}-pool: "
+                    f"{fired} faults fired but no failover counted"
+                )
+                assert snap["retries"] >= snap["failovers"]
+            sharded.close()
+            assert sharded.pool.refs == 0
         return ref
 
     return check

@@ -1,4 +1,11 @@
-"""The serving engine: catalog, optimizer, executor, caches, metrics."""
+"""The serving engine: catalog, optimizer, executor, caches, metrics.
+
+Front-door behaviour (result cache, serving metrics, workloads) runs
+through :class:`ShardedEngine` at one shard; the plan/execute stack
+underneath — executor ``detail``, plans, artifacts, the simulated disk
+— is checked on the shard replica that runs it (``replica_of`` /
+``make_replica``).
+"""
 
 from __future__ import annotations
 
@@ -11,55 +18,72 @@ from repro.engine import (
     AdmissionError,
     Query,
     ResultCache,
-    SpatialQueryEngine,
+    ShardedEngine,
     make_workload,
     run_workload,
 )
 from repro.geom.rect import Rect, intersection
 from repro.sim.machines import MACHINE_3
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import TEST_SCALE, make_replica, replica_of
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
 
-def make_engine(workers: int = 1, cache_capacity: int = 16,
-                n_a: int = 300, n_b: int = 120,
-                region: Rect = UNIT) -> SpatialQueryEngine:
-    engine = SpatialQueryEngine(
-        scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
-        cache_capacity=cache_capacity,
-    )
+def _register_ab(target, region: Rect = UNIT, n_a: int = 300,
+                 n_b: int = 120):
     a = uniform_rects(n_a, region, 0.02, seed=1)
     b = uniform_rects(n_b, region, 0.03, seed=2, id_base=100_000)
-    engine.register("a", a, universe=region)
-    engine.register("b", b, universe=region)
-    engine._test_rects = (a, b)  # stashed for equivalence checks
-    return engine
+    target.register("a", a, universe=region)
+    target.register("b", b, universe=region)
+    target._test_rects = (a, b)  # stashed for equivalence checks
+    return target
+
+
+def make_engine(workers: int = 1, cache_capacity: int = 16,
+                n_a: int = 300, n_b: int = 120,
+                region: Rect = UNIT, **kw) -> ShardedEngine:
+    engine = ShardedEngine(
+        shards=1, scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
+        cache_capacity=cache_capacity, **kw,
+    )
+    return _register_ab(engine, region, n_a, n_b)
+
+
+def make_stack(workers: int = 1, pool_kind: str = "process",
+               **kw):
+    """A shard replica with relations a and b registered."""
+    return _register_ab(
+        make_replica(pool_kind=pool_kind, workers=workers, **kw)
+    )
 
 
 class TestCatalog:
     def test_register_and_lazy_build(self):
         engine = make_engine()
-        entry = engine.catalog.get("a")
+        catalog = replica_of(engine).catalog
+        entry = catalog.get("a")
         assert not entry.has_tree
         assert entry.tree.num_objects == 300
         assert entry.has_tree
-        assert engine.catalog.indexes_built == 1
+        assert catalog.indexes_built == 1
         # Second access reuses the built tree.
         assert entry.tree is entry.tree
-        assert engine.catalog.indexes_built == 1
+        assert catalog.indexes_built == 1
 
     def test_reregister_bumps_version(self):
         engine = make_engine()
-        v1 = engine.catalog.get("a").version
+        catalog = replica_of(engine).catalog
+        v1 = catalog.get("a").version
         engine.register("a", engine._test_rects[0], universe=UNIT)
-        assert engine.catalog.get("a").version > v1
+        assert catalog.get("a").version > v1
 
     def test_unknown_relation(self):
         engine = make_engine()
         with pytest.raises(KeyError, match="unknown relation"):
-            engine.catalog.get("nope")
+            replica_of(engine).catalog.get("nope")
+        with pytest.raises(KeyError, match="unknown relation"):
+            engine.execute(Query(relations=("a", "nope")))
 
     def test_empty_relation_rejected(self):
         engine = make_engine()
@@ -69,11 +93,42 @@ class TestCatalog:
     def test_index_persistence_roundtrip(self, tmp_path):
         engine = make_engine()
         path = str(tmp_path / "a.rpqt")
-        engine.catalog.save_index("a", path)
-        other = make_engine()
-        tree = other.catalog.load_index("a", path)
+        replica_of(engine).catalog.save_index("a", path)
+        other = replica_of(make_engine()).catalog
+        tree = other.load_index("a", path)
         assert tree.num_objects == 300
-        assert other.catalog.get("a").has_tree
+        assert other.get("a").has_tree
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_reregistration_frees_replaced_disk_blocks(self, shards):
+        # Re-registering replaces the catalog entry; its stream blocks
+        # and R-tree pages must leave the simulated disk with it, so a
+        # reloading deployment holds a flat number of live payloads.
+        engine = ShardedEngine(
+            shards=shards, scale=TEST_SCALE, machine=MACHINE_3,
+            workers=2, pool_kind="serial", cache_capacity=0,
+        )
+        a = uniform_rects(300, UNIT, 0.02, seed=1)
+        b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
+        engine.register("a", a, universe=UNIT)
+        engine.register("b", b, universe=UNIT)
+        q = Query(relations=("a", "b"))
+
+        def reload() -> int:
+            engine.register("b", b, universe=UNIT)
+            engine.prepare()
+            engine.execute(q)
+            return sum(len(r.disk._payloads)
+                       for r in engine.all_replicas)
+
+        live = reload()
+        assert live > 0
+        for _ in range(50):
+            assert reload() == live
+        engine.drop("b")
+        assert sum(len(r.disk._payloads)
+                   for r in engine.all_replicas) < live
+        engine.close()
 
 
 class TestQueryValidation:
@@ -111,7 +166,7 @@ class TestExecution:
         assert out.result.pair_set() == brute_force_pairs(a, b)
 
     def test_windowed_join_matches_filtered_brute_force(self):
-        engine = make_engine()
+        engine = make_stack()
         a, b = engine._test_rects
         window = Rect(0.2, 0.5, 0.1, 0.6, 0)
         out = engine.execute(Query(relations=("a", "b"), window=window))
@@ -128,8 +183,8 @@ class TestExecution:
         assert "window_filtered" in out.result.detail
 
     def test_partitioned_matches_direct(self):
-        serial = make_engine(workers=1)
-        parallel = make_engine(workers=4)
+        serial = make_stack(workers=1)
+        parallel = make_stack(workers=4)
         q = Query(relations=("a", "b"))
         res_s = serial.execute(q).result
         res_p = parallel.execute(q).result
@@ -143,19 +198,20 @@ class TestExecution:
     def test_forced_strategy_respected(self):
         engine = make_engine()
         out = engine.execute(Query(relations=("a", "b"), force="sssj"))
-        assert out.result.detail["strategy"] == "sssj"
+        assert out.result.detail["shard_strategies"] == {0: "sssj"}
 
     def test_empty_window_shortcut(self):
         engine = make_engine()
         far = Rect(5.0, 6.0, 5.0, 6.0, 0)
-        out = engine.execute(Query(relations=("a", "b"), window=far))
+        q = Query(relations=("a", "b"), window=far)
+        out = engine.execute(q)
         assert out.result.n_pairs == 0
-        assert out.plan.mode == "empty"
+        assert replica_of(engine).optimizer.compile(q).mode == "empty"
         # The empty plan touches no data at all.
-        assert engine.metrics.pages_read == 0
+        assert engine.metrics_snapshot()["pages_read"] == 0
 
     def test_multiway_query(self):
-        engine = make_engine()
+        engine = make_stack()
         c = uniform_rects(80, UNIT, 0.05, seed=3, id_base=200_000)
         engine.register("c", c, universe=UNIT)
         out = engine.execute(Query(relations=("a", "b", "c")))
@@ -167,15 +223,16 @@ class TestExecution:
         engine = make_engine()
         engine.prepare()
         out = engine.execute(Query(relations=("a", "b"), force="st"))
-        assert out.result.detail["strategy"] == "st"
-        assert engine.pool.requests > 0
+        assert out.result.detail["shard_strategies"] == {0: "st"}
+        buffers = replica_of(engine).pool
+        assert buffers.requests > 0
         snap = engine.metrics_snapshot()
-        assert snap["buffer_pool_requests"] == engine.pool.requests
+        assert snap["buffer_pool_requests"] == buffers.requests
 
     def test_st_detail_reports_per_join_deltas(self):
         # A second ST run over the warm shared pool must report its own
         # page requests, not the pool's lifetime totals.
-        engine = make_engine(cache_capacity=0)
+        engine = make_stack()
         engine.prepare()
         first = engine.execute(Query(relations=("a", "b"), force="st"))
         second = engine.execute(Query(relations=("a", "b"), force="st"))
@@ -188,9 +245,7 @@ class TestExecution:
         )
 
     def test_auto_index_off_never_builds_trees(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, auto_index=False,
-        )
+        engine = make_replica(auto_index=False)
         a = uniform_rects(200, UNIT, 0.02, seed=5)
         b = uniform_rects(80, UNIT, 0.03, seed=6, id_base=100_000)
         engine.register("a", a, universe=UNIT)
@@ -202,7 +257,7 @@ class TestExecution:
     def test_forced_engine_strategy_priced(self):
         import math
 
-        engine = make_engine()
+        engine = make_stack()
         engine.prepare()
         window = Rect(0.1, 0.6, 0.1, 0.6, 0)
         out = engine.execute(
@@ -222,11 +277,13 @@ class TestExecution:
         # construction, and those pages must appear in its metrics.
         engine = make_engine()
         engine.execute(Query(relations=("a", "b")))
-        assert engine.metrics.pages_read == engine.env.page_reads
-        assert engine.metrics.pages_written == engine.env.page_writes
+        snap = engine.metrics_snapshot()
+        env = replica_of(engine).env
+        assert snap["pages_read"] == env.page_reads
+        assert snap["pages_written"] == env.page_writes
 
     def test_refinement_filters_pairs(self):
-        engine = SpatialQueryEngine(scale=TEST_SCALE, machine=MACHINE_3)
+        engine = make_replica()
         # Two crossing segments and two parallel (non-crossing) ones
         # whose MBRs all intersect pairwise.
         geoms_a = {1: [(0.0, 0.0), (1.0, 1.0)]}
@@ -253,14 +310,15 @@ class TestResultCache:
         engine = make_engine()
         q = Query(relations=("a", "b"))
         first = engine.execute(q)
-        pages_after_first = engine.metrics.pages_read
+        pages_after_first = engine.metrics_snapshot()["pages_read"]
         second = engine.execute(q)
         assert not first.from_cache and second.from_cache
         assert second.result.n_pairs == first.result.n_pairs
         assert second.result.detail.get("cache_hit") is True
         # Served from memory: no further I/O.
-        assert engine.metrics.pages_read == pages_after_first
-        assert engine.metrics.cache_hits == 1
+        snap = engine.metrics_snapshot()
+        assert snap["pages_read"] == pages_after_first
+        assert snap["cache_hits"] == 1
 
     def test_reregistration_invalidates(self):
         engine = make_engine()
@@ -317,14 +375,10 @@ class TestMemoryGovernance:
         # replication) forces partitioned tiles to spill; the answer
         # must be identical to the roomy run and the spill counters
         # must say it happened.
-        roomy = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            memory_bytes=1_000_000,
-        )
-        tight_budget = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            memory_bytes=3000,
-        )
+        roomy = make_replica(pool_kind="process", workers=2,
+                             memory_bytes=1_000_000)
+        tight_budget = make_replica(pool_kind="process", workers=2,
+                                    memory_bytes=3000)
         a = uniform_rects(300, UNIT, 0.02, seed=1)
         b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
         for engine in (roomy, tight_budget):
@@ -345,8 +399,9 @@ class TestMemoryGovernance:
         assert ref.detail["spilled_rects"] == 0
 
     def test_admission_control_rejects_impossible_queries(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, memory_bytes=2000,
+        engine = ShardedEngine(
+            shards=1, scale=TEST_SCALE, machine=MACHINE_3,
+            memory_bytes=2000,
         )
         a = uniform_rects(100, UNIT, 0.02, seed=1)
         b = uniform_rects(50, UNIT, 0.03, seed=2, id_base=100_000)
@@ -354,14 +409,17 @@ class TestMemoryGovernance:
         engine.register("b", b, universe=UNIT)
         with pytest.raises(AdmissionError, match="minimum grant"):
             engine.execute(Query(relations=("a", "b")))
-        assert engine.metrics.queries_rejected == 1
-        assert engine.metrics.queries_executed == 0
+        snap = engine.metrics_snapshot()
+        assert snap["queries_rejected"] == 1
+        assert snap["queries_executed"] == 0
 
     def test_budget_high_water_in_snapshot(self):
         engine = make_engine(workers=2)
         engine.execute(Query(relations=("a", "b"), force="pbsm-grid"))
         snap = engine.metrics_snapshot()
-        assert snap["budget_total_bytes"] == engine.budget.total_bytes
+        assert snap["budget_total_bytes"] == (
+            replica_of(engine).budget.total_bytes
+        )
         assert 0 < snap["budget_high_water_bytes"]
         assert "tiles" in snap["budget_high_water_by_category"]
         assert snap["result_cache_bytes"] == engine.cache.bytes_used
@@ -378,8 +436,9 @@ class TestMemoryGovernance:
     def test_cache_bytes_bound_enforced_end_to_end(self):
         # A byte-capped cache admits the small windowed result but
         # refuses to hold the big overlay.
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, cache_bytes=4096,
+        engine = ShardedEngine(
+            shards=1, scale=TEST_SCALE, machine=MACHINE_3,
+            cache_bytes=4096,
         )
         a = uniform_rects(300, UNIT, 0.02, seed=1)
         b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
@@ -398,7 +457,7 @@ class TestMemoryGovernance:
 
 class TestSelfJoin:
     def test_self_join_matches_brute_force(self):
-        engine = make_engine(workers=2)
+        engine = make_stack(workers=2)
         a, _ = engine._test_rects
         out = engine.execute(Query(relations=("a", "a")))
         expected = {
@@ -453,7 +512,9 @@ class TestMultiwayPricing:
         engine = make_engine()
         c = uniform_rects(80, UNIT, 0.05, seed=3, id_base=200_000)
         engine.register("c", c, universe=UNIT)
-        plan = engine.optimizer.compile(Query(relations=("a", "b", "c")))
+        plan = replica_of(engine).optimizer.compile(
+            Query(relations=("a", "b", "c"))
+        )
         assert plan.strategy == "pq-multiway"
         assert "cascaded pairwise" in plan.estimate.detail
         assert "histogram intermediates" in plan.estimate.detail
@@ -465,10 +526,11 @@ class TestMultiwayPricing:
         d = uniform_rects(60, UNIT, 0.05, seed=4, id_base=300_000)
         engine.register("c", c, universe=UNIT)
         engine.register("d", d, universe=UNIT)
-        three = engine.optimizer.compile(
+        optimizer = replica_of(engine).optimizer
+        three = optimizer.compile(
             Query(relations=("a", "b", "c"))
         ).estimate.io_seconds
-        four = engine.optimizer.compile(
+        four = optimizer.compile(
             Query(relations=("a", "b", "c", "d"))
         ).estimate.io_seconds
         assert four > three
@@ -480,7 +542,9 @@ class TestMultiwayPricing:
         shifted = Rect(0.5, 1.5, 0.5, 1.5, 0)
         c = uniform_rects(80, shifted, 0.05, seed=3, id_base=200_000)
         engine.register("c", c, universe=shifted)
-        plan = engine.optimizer.compile(Query(relations=("a", "b", "c")))
+        plan = replica_of(engine).optimizer.compile(
+            Query(relations=("a", "b", "c"))
+        )
         assert plan.estimate.io_seconds > 0
 
 
@@ -526,7 +590,7 @@ class TestMetricsAndWorkload:
         second = run_workload(engine, queries)
         # Per-workload sim seconds, not the engine's lifetime clock.
         assert first["sim_wall_seconds"] + second["sim_wall_seconds"] == (
-            pytest.approx(engine.metrics.sim_wall_seconds)
+            pytest.approx(engine.sim_wall_total)
         )
 
 
@@ -535,8 +599,8 @@ class TestParallelPool:
 
     def _engines(self, **kw):
         serial = make_engine(workers=3, cache_capacity=0)
-        other = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=3,
+        other = ShardedEngine(
+            shards=1, scale=TEST_SCALE, machine=MACHINE_3, workers=3,
             cache_capacity=0, min_ship_rects=0, **kw,
         )
         a, b = serial._test_rects
@@ -549,14 +613,9 @@ class TestParallelPool:
         for sa, sb in rng_seeds:
             a = uniform_rects(350, UNIT, 0.02, seed=sa)
             b = uniform_rects(150, UNIT, 0.035, seed=sb, id_base=100_000)
-            serial = SpatialQueryEngine(
-                scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-                cache_capacity=0, pool_kind="serial",
-            )
-            proc = SpatialQueryEngine(
-                scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-                cache_capacity=0, pool_kind="process", min_ship_rects=0,
-            )
+            serial = make_replica(pool_kind="serial", workers=3)
+            proc = make_replica(pool_kind="process", workers=3,
+                                min_ship_rects=0)
             for e in (serial, proc):
                 e.register("a", a, universe=UNIT)
                 e.register("b", b, universe=UNIT)
@@ -571,18 +630,13 @@ class TestParallelPool:
                     == rs.detail["sweep_ops_total"])
             assert proc.env.cpu_ops == serial.env.cpu_ops
             assert proc.env.bytes_read == serial.env.bytes_read
-            proc.close()
+            proc.worker_pool.release()
 
     def test_process_pool_self_join_matches_serial(self):
         a = uniform_rects(300, UNIT, 0.025, seed=51)
-        serial = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-        )
-        proc = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="process", min_ship_rects=0,
-        )
+        serial = make_replica(pool_kind="serial", workers=2)
+        proc = make_replica(pool_kind="process", workers=2,
+                            min_ship_rects=0)
         for e in (serial, proc):
             e.register("a", a, universe=UNIT)
         q = Query(relations=("a", "a"))
@@ -591,7 +645,7 @@ class TestParallelPool:
         assert rp.pair_set() == rs.pair_set()
         assert all(x < y for x, y in rp.pairs)
         assert rp.detail["tasks_shipped"] > 0
-        proc.close()
+        proc.worker_pool.release()
 
     def test_thread_pool_matches_serial(self):
         serial, threaded = self._engines(pool_kind="thread")
@@ -599,43 +653,31 @@ class TestParallelPool:
         rs = serial.execute(q).result
         rt = threaded.execute(q).result
         assert rt.pair_set() == rs.pair_set()
-        assert threaded.worker_pool.kind == "thread"
+        assert threaded.pool.kind == "thread"
         threaded.close()
 
     def test_small_tasks_stay_inline(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-            cache_capacity=0, pool_kind="process",
-            min_ship_rects=10**9,
-        )
-        a, b = make_engine()._test_rects
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
+        engine = make_stack(workers=3, min_ship_rects=10**9)
         out = engine.execute(Query(relations=("a", "b"),
                                    force="pbsm-grid")).result
         assert out.detail["tasks_shipped"] == 0
         assert not engine.worker_pool.started  # never even created
-        engine.close()
+        engine.worker_pool.release()
 
     def test_pool_is_persistent_across_queries(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="thread", min_ship_rects=0,
-        )
-        a, b = make_engine()._test_rects
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
+        engine = make_engine(workers=2, cache_capacity=0,
+                             pool_kind="thread", min_ship_rects=0)
         q = Query(relations=("a", "b"), force="pbsm-grid")
         engine.execute(q)
         engine.execute(Query(relations=("a", "a")))
-        assert engine.worker_pool.pools_created == 1
-        assert engine.worker_pool.tasks_dispatched > 0
+        assert engine.pool.pools_created == 1
+        assert engine.pool.tasks_dispatched > 0
         assert engine.metrics_snapshot()["worker_pool"]["kind"] == "thread"
         engine.close()
 
     def test_close_is_idempotent_and_context_manager(self):
-        with SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
+        with ShardedEngine(
+            shards=1, scale=TEST_SCALE, machine=MACHINE_3, workers=2,
         ) as engine:
             engine.register("a", make_engine()._test_rects[0],
                             universe=UNIT)
@@ -647,16 +689,7 @@ class TestPartitionArtifacts:
 
     def _engine(self, **kw):
         kw.setdefault("memory_bytes", 10_000_000)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, **kw,
-        )
-        a = uniform_rects(300, UNIT, 0.02, seed=1)
-        b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
-        engine._test_rects = (a, b)
-        return engine
+        return make_stack(workers=2, **kw)
 
     def test_repeat_hits_artifact_and_skips_distribute(self):
         engine = self._engine()
@@ -752,7 +785,8 @@ class TestPartitionArtifacts:
         assert budget.used_by("artifacts") == 0
 
     def test_snapshot_surfaces_artifact_and_pool_stats(self):
-        engine = self._engine()
+        engine = make_engine(workers=2, cache_capacity=0,
+                             memory_bytes=10_000_000)
         q = Query(relations=("a", "b"), force="pbsm-grid")
         engine.execute(q)
         engine.execute(q)
@@ -768,14 +802,7 @@ class TestSortedRunArtifacts:
 
     def _engine(self, **kw):
         kw.setdefault("memory_bytes", 10_000_000)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3,
-            cache_capacity=0, **kw,
-        )
-        a = uniform_rects(300, UNIT, 0.02, seed=1)
-        b = uniform_rects(120, UNIT, 0.03, seed=2, id_base=100_000)
-        engine.register("a", a, universe=UNIT)
-        engine.register("b", b, universe=UNIT)
+        engine = make_stack(**kw)
         engine.prepare()
         return engine
 
@@ -844,10 +871,8 @@ class TestArtifactPersistence:
 
     def _engine(self, artifact_dir, a, b, **kw):
         kw.setdefault("memory_bytes", 10_000_000)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            artifact_dir=str(artifact_dir), **kw,
+        engine = make_replica(
+            workers=2, artifact_dir=str(artifact_dir), **kw,
         )
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
@@ -862,7 +887,7 @@ class TestArtifactPersistence:
         p1 = first.execute(pq).result
         s1 = first.execute(sq).result
         assert first.artifact_store.saves == 3  # 1 distribution + 2 runs
-        first.close()
+        first.worker_pool.release()
 
         second = self._engine(tmp_path, a, b)
         bytes_before = second.env.bytes_read
@@ -875,26 +900,26 @@ class TestArtifactPersistence:
         s2 = second.execute(sq).result
         assert s2.detail["artifact_restores"] == 2
         assert s2.pair_set() == s1.pair_set()
-        snap = second.metrics_snapshot()
-        assert snap["artifact_disk_restores"] == 3
-        assert snap["artifact_restores"] == 3  # EngineMetrics counter
-        assert snap["artifact_disk_restore_bytes"] > 0
-        second.close()
+        art = second.artifacts.snapshot()
+        assert art["disk_restores"] == 3
+        assert second.metrics.artifact_restores == 3
+        assert art["disk_restore_bytes"] > 0
+        second.worker_pool.release()
 
     def test_restart_with_changed_data_stays_cold(self, tmp_path):
         a, b = self._rects()
         q = Query(relations=("a", "b"), force="pbsm-grid")
         first = self._engine(tmp_path, a, b)
         first.execute(q)
-        first.close()
+        first.worker_pool.release()
         # Same names, different content: fingerprints differ, so the
         # persisted artifacts must not match.
         a2 = uniform_rects(300, UNIT, 0.02, seed=77)
         second = self._engine(tmp_path, a2, b)
         out = second.execute(q).result
         assert out.detail["artifact_hit"] is False
-        assert second.metrics_snapshot()["artifact_disk_restores"] == 0
-        second.close()
+        assert second.artifacts.snapshot()["disk_restores"] == 0
+        second.worker_pool.release()
 
     def test_corrupt_artifact_degrades_to_cold_run(self, tmp_path):
         import json
@@ -904,7 +929,7 @@ class TestArtifactPersistence:
         q = Query(relations=("a", "b"), force="pbsm-grid")
         first = self._engine(tmp_path, a, b)
         reference = first.execute(q).result
-        first.close()
+        first.worker_pool.release()
         # Flip bytes in every payload file.
         for name in os.listdir(tmp_path):
             if name.endswith(".art"):
@@ -926,7 +951,7 @@ class TestArtifactPersistence:
         healed = third.execute(q).result
         assert healed.detail["artifact_hit"] is True
         assert healed.pair_set() == reference.pair_set()
-        third.close()
+        third.worker_pool.release()
 
     def test_store_roundtrip_is_exact(self, tmp_path):
         from repro.engine.artifacts import ArtifactStore
@@ -979,10 +1004,9 @@ class TestTileBatching:
         return rects, other
 
     def _engine(self, a, b, pool_kind, tile_batch_bytes, workers=3):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=workers,
-            cache_capacity=0, memory_bytes=10_000_000,
-            pool_kind=pool_kind, tile_batch_bytes=tile_batch_bytes,
+        engine = make_replica(
+            pool_kind=pool_kind, workers=workers,
+            memory_bytes=10_000_000, tile_batch_bytes=tile_batch_bytes,
         )
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
@@ -1004,8 +1028,8 @@ class TestTileBatching:
             assert engine.env.cpu_ops == serial.env.cpu_ops
             assert out.detail["tile_batches"] > 0
             assert out.detail["batched_tiles"] > 1
-            engine.close()
-        serial.close()
+            engine.worker_pool.release()
+        serial.worker_pool.release()
 
     def test_batch_is_one_pool_task(self):
         a, b = self._skewed()
@@ -1017,7 +1041,7 @@ class TestTileBatching:
         assert pool["tiles_dispatched"] > pool["tasks_dispatched"]
         assert (out.detail["active_partitions"]
                 >= out.detail["tasks_shipped"])
-        engine.close()
+        engine.worker_pool.release()
 
     def test_batching_disabled_restores_inline_cutoff(self):
         a, b = self._skewed()
@@ -1028,7 +1052,7 @@ class TestTileBatching:
         assert out.detail["batched_tiles"] == 0
         # Small tiles stayed on the coordinator (the PR-3 cutoff).
         assert out.detail["tasks_shipped"] == 0
-        engine.close()
+        engine.worker_pool.release()
 
     def test_batching_parallelizes_skewed_grids(self):
         # The point of batching: small tiles reach the worker pool
@@ -1043,19 +1067,16 @@ class TestTileBatching:
         saved_batched = batched.execute(q).result.detail[
             "parallel_cpu_seconds_saved"]
         assert saved_batched > saved_per_tile
-        per_tile.close()
-        batched.close()
+        per_tile.worker_pool.release()
+        batched.worker_pool.release()
 
 
 class TestCostAwareDispatch:
     """Repeat plans measured cheaper than a round-trip sweep inline."""
 
     def _engine(self, **kw):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=3,
-            cache_capacity=0, pool_kind="thread", min_ship_rects=0,
-            **kw,
-        )
+        engine = make_replica(pool_kind="thread", workers=3,
+                              min_ship_rects=0, **kw)
         a = uniform_rects(400, UNIT, 0.02, seed=31)
         b = uniform_rects(200, UNIT, 0.03, seed=32, id_base=100_000)
         engine.register("a", a, universe=UNIT)
@@ -1076,7 +1097,7 @@ class TestCostAwareDispatch:
         assert second.pair_set() == first.pair_set()
         assert (second.detail["sweep_ops_total"]
                 == first.detail["sweep_ops_total"])
-        engine.close()
+        engine.worker_pool.release()
 
     def test_memo_disabled_keeps_shipping(self):
         engine = self._engine(inline_plan_ops=0)
@@ -1085,7 +1106,7 @@ class TestCostAwareDispatch:
         second = engine.execute(q).result
         assert second.detail["inlined_by_cost"] is False
         assert second.detail["tasks_shipped"] > 0
-        engine.close()
+        engine.worker_pool.release()
 
     def test_plan_above_threshold_keeps_shipping(self):
         engine = self._engine(inline_plan_ops=1)
@@ -1094,7 +1115,7 @@ class TestCostAwareDispatch:
         second = engine.execute(q).result
         assert second.detail["inlined_by_cost"] is False
         assert second.detail["tasks_shipped"] > 0
-        engine.close()
+        engine.worker_pool.release()
 
     def test_new_window_inherits_full_distribution_bound(self):
         # A windowed plan with no measurement of its own inherits the
@@ -1107,10 +1128,7 @@ class TestCostAwareDispatch:
                                    force="pbsm-grid")).result
         assert out.detail["inlined_by_cost"] is True
         assert out.detail["tasks_shipped"] == 0
-        serial = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=1,
-            cache_capacity=0, pool_kind="serial",
-        )
+        serial = make_replica()
         serial.register("a", uniform_rects(400, UNIT, 0.02, seed=31),
                         universe=UNIT)
         serial.register("b", uniform_rects(200, UNIT, 0.03, seed=32,
@@ -1119,8 +1137,8 @@ class TestCostAwareDispatch:
         ref = serial.execute(Query(relations=("a", "b"), window=win,
                                    force="pbsm-grid")).result
         assert out.pair_set() == ref.pair_set()
-        serial.close()
-        engine.close()
+        serial.worker_pool.release()
+        engine.worker_pool.release()
 
 
 class TestLatencyMetrics:

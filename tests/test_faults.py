@@ -26,7 +26,6 @@ from repro.engine import (
     InjectedFault,
     Query,
     ShardedEngine,
-    SpatialQueryEngine,
     WorkerPool,
     merge_snapshots,
 )
@@ -40,7 +39,12 @@ from repro.engine.shard import HEALTH_FLOOR, PROBE_EVERY
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
 
-from tests.conftest import TEST_SCALE, _uniform, brute_reference
+from tests.conftest import (
+    TEST_SCALE,
+    _uniform,
+    brute_reference,
+    make_replica,
+)
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
 
@@ -51,17 +55,10 @@ def _data(seed=1, n_a=80, n_b=60):
 
 
 def _single(faults=None, **kw):
-    kw.setdefault("scale", TEST_SCALE)
-    kw.setdefault("machine", MACHINE_3)
-    kw.setdefault("workers", 2)
-    kw.setdefault("cache_capacity", 0)
-    kw.setdefault("min_ship_rects", 0)
+    """The one-shard deployment over ``_data()``."""
+    kw.setdefault("shards", 1)
     kw.setdefault("pool_kind", "thread")
-    a, b = _data()
-    engine = SpatialQueryEngine(faults=faults, **kw)
-    engine.register("a", a, universe=UNIT)
-    engine.register("b", b, universe=UNIT)
-    return engine, a, b
+    return _sharded(faults=faults, **kw)
 
 
 def _sharded(faults=None, **kw):
@@ -227,7 +224,7 @@ class TestPoolFaults:
         ).result
         assert sorted(out.pairs) == sorted(brute_reference(a, b))
         assert plan.total_injected == 1
-        assert engine.worker_pool.fallbacks >= 1
+        assert engine.pool.fallbacks >= 1
         engine.close()
 
     def test_process_worker_crash_demotes_and_recovers(self):
@@ -239,7 +236,7 @@ class TestPoolFaults:
             Query(relations=("a", "b"), force="pbsm-grid")
         ).result
         assert sorted(out.pairs) == sorted(brute_reference(a, b))
-        snap = engine.worker_pool.snapshot()
+        snap = engine.pool.snapshot()
         assert snap["kind"] == "thread"
         assert snap["demotions"] >= 1
         engine.close()
@@ -252,7 +249,7 @@ class TestPoolFaults:
         ).result
         assert sorted(out.pairs) == sorted(brute_reference(a, b))
         assert plan.total_injected == 1
-        assert engine.worker_pool.tasks_inline >= 1
+        assert engine.pool.tasks_inline >= 1
         engine.close()
 
     def test_pool_snapshot_carries_fault_plan(self):
@@ -423,10 +420,10 @@ class TestDifferentialUnderFaults:
 
 class TestArtifactFaults:
     def _engine(self, tmp_path, a, b, faults=None):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            memory_bytes=10_000_000,
+        # One replica's artifact store, so every run executes (the
+        # engine's per-shard result store would serve the repeats).
+        engine = make_replica(
+            workers=2, memory_bytes=10_000_000,
             artifact_dir=str(tmp_path), faults=faults,
         )
         engine.register("a", a, universe=UNIT)
@@ -442,19 +439,19 @@ class TestArtifactFaults:
         first = self._engine(tmp_path, a, b, faults=plan)
         ref = first.execute(q).result
         assert plan.total_injected == 1
-        first.close()
+        first.worker_pool.release()
         second = self._engine(tmp_path, a, b)
         out = second.execute(q).result
         assert out.pair_set() == ref.pair_set()
         assert second.artifact_store.corrupt_drops >= 1
-        second.close()
+        second.worker_pool.release()
 
     def test_corrupt_on_load_degrades_to_cold_run(self, tmp_path):
         a, b = _data(seed=10, n_a=120, n_b=80)
         q = Query(relations=("a", "b"), force="pbsm-grid")
         first = self._engine(tmp_path, a, b)
         ref = first.execute(q).result
-        first.close()
+        first.worker_pool.release()
         plan = FaultPlan([
             FaultRule(site="artifact.load", kind="corrupt",
                       times=None),
@@ -464,21 +461,20 @@ class TestArtifactFaults:
         assert out.pair_set() == ref.pair_set()
         assert out.detail["artifact_hit"] is False
         assert second.artifact_store.corrupt_drops >= 1
-        second.close()
+        second.worker_pool.release()
 
 
 class TestPrewarm:
     def _warm_store(self, tmp_path):
         a, b = _data(seed=11, n_a=120, n_b=80)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            memory_bytes=10_000_000, artifact_dir=str(tmp_path),
+        engine = make_replica(
+            workers=2, memory_bytes=10_000_000,
+            artifact_dir=str(tmp_path),
         )
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
         engine.execute(Query(relations=("a", "b"), force="sssj"))
-        engine.close()
+        engine.worker_pool.release()
 
     def test_prewarm_stages_and_load_pops(self, tmp_path):
         self._warm_store(tmp_path)
@@ -509,10 +505,9 @@ class TestPrewarm:
     def test_background_prewarm_on_prepare(self, tmp_path):
         self._warm_store(tmp_path)
         a, b = _data(seed=11, n_a=120, n_b=80)
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-            cache_capacity=0, pool_kind="serial",
-            memory_bytes=10_000_000, artifact_dir=str(tmp_path),
+        engine = make_replica(
+            workers=2, memory_bytes=10_000_000,
+            artifact_dir=str(tmp_path),
         )
         engine.register("a", a, universe=UNIT)
         engine.register("b", b, universe=UNIT)
@@ -524,7 +519,7 @@ class TestPrewarm:
             Query(relations=("a", "b"), force="sssj")
         ).result
         assert out.detail["artifact_restores"] == 2
-        engine.close()
+        engine.worker_pool.release()
 
     def test_empty_store_starts_no_thread(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -590,30 +585,24 @@ class TestResultStore:
 
 
 class TestStoreLayoutGuard:
-    def test_single_engine_rejects_sharded_root(self, tmp_path):
-        (tmp_path / "shard-00").mkdir()
-        with pytest.raises(ValueError, match="sharded store"):
-            check_store_layout(str(tmp_path), sharded=False)
-        with pytest.raises(ValueError, match="sharded store"):
-            SpatialQueryEngine(
-                scale=TEST_SCALE, artifact_dir=str(tmp_path),
-            )
-
     def test_sharded_rejects_single_engine_root(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{}")
         with pytest.raises(ValueError, match="single-engine store"):
-            check_store_layout(str(tmp_path), sharded=True)
-        with pytest.raises(ValueError, match="single-engine store"):
-            ShardedEngine(
-                shards=2, scale=TEST_SCALE,
-                artifact_dir=str(tmp_path),
-            )
+            check_store_layout(str(tmp_path))
+        for shards in (1, 2):
+            with pytest.raises(ValueError, match="single-engine store"):
+                ShardedEngine(
+                    shards=shards, scale=TEST_SCALE,
+                    artifact_dir=str(tmp_path),
+                )
 
     def test_empty_and_matching_roots_pass(self, tmp_path):
-        check_store_layout(str(tmp_path), sharded=True)
-        check_store_layout(str(tmp_path), sharded=False)
+        check_store_layout(str(tmp_path))
         (tmp_path / "shard-00").mkdir()
-        check_store_layout(str(tmp_path), sharded=True)
+        check_store_layout(str(tmp_path))
+        ShardedEngine(
+            shards=1, scale=TEST_SCALE, artifact_dir=str(tmp_path),
+        ).close()
 
 
 class TestShardedDurability:
@@ -705,9 +694,9 @@ class TestShardedDurability:
         a, b = _data(seed=16)
         engine = self._engine(tmp_path, a, b)
         roots = {
-            e.artifact_store.root for e in engine.all_engines
+            r.artifact_store.root for r in engine.all_replicas
         }
-        assert len(roots) == len(engine.all_engines)
+        assert len(roots) == len(engine.all_replicas)
         engine.close()
 
 
@@ -725,7 +714,10 @@ class TestFailoverMetrics:
         assert merged["failover_rate"] == pytest.approx(2 / 16)
 
     def test_single_engine_snapshot_keeps_key_compat(self):
+        # One shard, no faults: the coordinator's availability
+        # counters are present and zero.
         engine, a, b = _single()
+        engine.execute(Query(relations=("a", "b")))
         snap = engine.metrics_snapshot()
         for key in ("failovers", "retries", "replica_failures",
                     "replica_timeouts", "failover_rate"):

@@ -20,7 +20,7 @@ import pytest
 from repro.core import kernels
 from repro.core.columnar import COLUMN_BYTES_PER_RECT, ColumnarTile
 from repro.core.sweep import forward_sweep_pairs_batched
-from repro.engine import Query, SpatialQueryEngine, WorkerPool
+from repro.engine import Query, ShardedEngine, WorkerPool
 from repro.engine import executor as executor_mod
 from repro.engine.executor import _OpCounter, sweep_tile_task
 from repro.geom.rect import Rect
@@ -78,8 +78,8 @@ class TestResolveKernel:
             kernels.resolve_kernel("numpy")
 
     def test_engine_surfaces_resolved_kernel(self):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, workers=1, pool_kind="serial",
+        engine = ShardedEngine(
+            shards=1, scale=TEST_SCALE, workers=1, pool_kind="serial",
             kernel="python",
         )
         try:
@@ -230,8 +230,8 @@ class TestTileTaskParity:
 @needs_numpy
 class TestEngineParity:
     def _engine(self, kernel, pool_kind, rects_a, rects_b):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
+        engine = ShardedEngine(
+            shards=1, scale=TEST_SCALE, workers=2, pool_kind=pool_kind,
             cache_capacity=0, min_ship_rects=0, kernel=kernel,
             shm_min_bytes=0,
         )
@@ -257,7 +257,7 @@ class TestEngineParity:
                 out = engine.execute(query)
                 outcomes[kernel] = (
                     sorted(out.result.pairs),
-                    engine.metrics.sim_wall_seconds,
+                    engine.sim_wall_total,
                     engine.metrics_snapshot()["pages_read"],
                 )
             finally:
@@ -282,9 +282,40 @@ class TestShmShipping:
         assert len(view) == len(tile)
         assert view.decode() == tile.decode()
 
+    def test_dead_tile_never_lends_its_segment_slot(self):
+        # Two tiles packed into one segment; one dies while its sibling
+        # keeps the segment alive.  Fresh tiles of the same length —
+        # which CPython allocates at the dead tile's address when
+        # nothing else is allocated in between — must each ship their
+        # own bytes, never the dead tile's slot.
+        from repro.engine.pool import resolve_shm_tile
+
+        pool = WorkerPool(1, kind="thread")
+        shm = pool.shm
+        if not shm.enabled:
+            pytest.skip("no shared memory on this host")
+        rng = random.Random(41)
+        batches = [_uniform(rng, 50, 10_000 * (i + 2)) for i in range(200)]
+        keep = ColumnarTile.from_rects(_uniform(rng, 50))
+        drop = ColumnarTile.from_rects(_uniform(rng, 50, 1_000))
+        refs = shm.refs_for([keep, drop])
+        assert refs is not None and refs[0].segment == refs[1].segment
+        shm.task_done({refs[0].segment})
+        del drop
+        for rects in batches:
+            fresh = ColumnarTile()
+            fresh.extend(rects)
+            (ref,) = shm.refs_for([fresh])
+            assert resolve_shm_tile(ref).decode() == rects
+            shm.task_done({ref.segment})
+            del fresh
+        del keep
+        assert shm.open_segments == 0
+        pool.shutdown()
+
     def _shm_engine(self, shm_min_bytes):
-        engine = SpatialQueryEngine(
-            scale=TEST_SCALE, workers=2, pool_kind="process",
+        engine = ShardedEngine(
+            shards=1, scale=TEST_SCALE, workers=2, pool_kind="process",
             cache_capacity=0, min_ship_rects=0, kernel="python",
             shm_min_bytes=shm_min_bytes,
         )
@@ -300,7 +331,7 @@ class TestShmShipping:
             try:
                 out = engine.execute(query)
                 results[label] = sorted(out.result.pairs)
-                shm = engine.worker_pool.shm
+                shm = engine.pool.shm
                 if label == "shm":
                     assert shm.segments_created > 0
                 else:
@@ -330,12 +361,12 @@ class TestShmShipping:
             # Rug-pull: the pool dies with shm-shipped tasks pending.
             # Recovery must re-run them inline against the coordinator's
             # own segments, then demote without leaking a single one.
-            engine.worker_pool.pool._executor = _BrokenStub()
+            engine.pool._executor = _BrokenStub()
             out = engine.execute(query)
             assert sorted(out.result.pairs) == ref
         finally:
             engine.close()
-        shm = engine.worker_pool.shm
+        shm = engine.pool.shm
         assert shm.open_segments == 0
         assert shm.mapped_segments == 0
         leftovers = [
@@ -348,7 +379,7 @@ class TestShmShipping:
         engine, _ = self._shm_engine(-1)
         try:
             engine.execute(Query(relations=("a", "a")))
-            snap = engine.worker_pool.snapshot()["shm"]
+            snap = engine.pool.snapshot()["shm"]
             assert snap["segments_created"] == 0
             assert snap["bytes_packed"] == 0
         finally:

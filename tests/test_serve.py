@@ -22,6 +22,7 @@ import asyncio
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -35,7 +36,6 @@ from repro.engine import (
     ResultStore,
     ServingFrontend,
     ShardedEngine,
-    SpatialQueryEngine,
     lpt_makespan,
     run_concurrent_workload,
     run_workload,
@@ -77,12 +77,13 @@ def _frontend(engine, **kw) -> ServingFrontend:
 
 
 def _registered_single(n: int = 120, seed: int = 3,
-                       **kw) -> SpatialQueryEngine:
+                       **kw) -> ShardedEngine:
+    """The one-shard deployment with relations a and b."""
     kw.setdefault("scale", TEST_SCALE)
     kw.setdefault("machine", MACHINE_3)
     kw.setdefault("pool_kind", "serial")
     kw.setdefault("cache_capacity", 0)
-    engine = SpatialQueryEngine(**kw)
+    engine = ShardedEngine(shards=1, **kw)
     rng = random.Random(seed)
     engine.register("a", _uniform(rng, n), universe=UNIT)
     engine.register("b", _uniform(rng, n, 10_000), universe=UNIT)
@@ -142,12 +143,12 @@ class TestLptMakespan:
         """Regression: scatter sim must equal the LPT makespan of the
         per-shard engine deltas, never their sum."""
         engine = _registered(shards=3, n=200)
-        walls_before = [e.metrics.sim_wall_seconds
-                        for e in engine.engines]
+        walls_before = [r.metrics.sim_wall_seconds
+                        for r in engine.all_replicas]
         out = engine.execute(Query(relations=("a", "b")))
         walls = [
-            e.metrics.sim_wall_seconds - b
-            for e, b in zip(engine.engines, walls_before)
+            r.metrics.sim_wall_seconds - b
+            for r, b in zip(engine.all_replicas, walls_before)
         ]
         walls = [w for w in walls if w > 0]
         assert len(walls) == 3, "a full overlay scatters to every shard"
@@ -165,12 +166,12 @@ class TestLptMakespan:
     def test_single_worker_deployment_bills_the_sum(self):
         engine = _registered(shards=2, workers=1)
         assert engine.scatter_lanes == 1
-        walls_before = [e.metrics.sim_wall_seconds
-                        for e in engine.engines]
+        walls_before = [r.metrics.sim_wall_seconds
+                        for r in engine.all_replicas]
         out = engine.execute(Query(relations=("a", "b")))
         walls = [
-            e.metrics.sim_wall_seconds - b
-            for e, b in zip(engine.engines, walls_before)
+            r.metrics.sim_wall_seconds - b
+            for r, b in zip(engine.all_replicas, walls_before)
         ]
         assert out.sim_wall_seconds == pytest.approx(sum(walls))
         engine.close()
@@ -669,29 +670,34 @@ class TestConcurrentWorkloadDriver:
         assert report["served"] == s["served_ok"] > 0
 
 
-# -- single-engine serialization ---------------------------------------------
+# -- one-shard deployment under concurrency --------------------------------
 
 
 class TestSingleEngineSerialization:
-    def test_lock_present_only_for_non_thread_safe_engines(self):
-        single = _registered_single()
-        sharded = _registered()
-        fe_single = _frontend(single)
-        fe_sharded = _frontend(sharded)
-        try:
-            assert fe_single._engine_lock is not None, (
-                "SpatialQueryEngine.execute is not reentrant; the "
-                "front-end must serialize calls to it"
-            )
-            assert fe_sharded._engine_lock is None, (
-                "ShardedEngine declares execute_thread_safe; "
-                "serializing it would defeat the concurrent scatter"
-            )
-        finally:
-            fe_single.close()
-            fe_sharded.close()
-            single.close()
-            sharded.close()
+    def test_frontend_overlaps_engine_calls(self):
+        # The front-end never serializes the engine: two admitted
+        # queries must be inside ``execute`` at the same time (both
+        # reach a two-party barrier; a serialized path would time out).
+        engine = _registered_single()
+        barrier = threading.Barrier(2, timeout=10.0)
+        inner = engine.execute
+
+        def execute(query, **kw):
+            barrier.wait()
+            return inner(query, **kw)
+
+        engine.execute = execute
+        with _frontend(engine, max_concurrency=2) as fe:
+            async def both():
+                return await asyncio.gather(
+                    fe.submit(Query(relations=("a", "b"))),
+                    fe.submit(Query(relations=("a", "b"),
+                                    window=Rect(0.1, 0.6, 0.1, 0.6, 0))),
+                )
+
+            responses = asyncio.run(both())
+        assert [r.status for r in responses] == ["ok", "ok"]
+        engine.close()
 
     def test_concurrent_single_engine_matches_serial_accounting(self):
         from repro.engine import make_workload
@@ -710,9 +716,10 @@ class TestSingleEngineSerialization:
         engine.close()
         assert report["served"] == report["queries"] == 24
         assert report["serve"]["errors"] == 0
-        # With execute serialized the env page counter deltas and
-        # metrics cannot interleave: totals match the serial run bit
-        # for bit (a race here shows up as corrupted sums).
+        # Each replica serializes its own sub-queries, so the env page
+        # counter deltas and metrics cannot interleave: totals match
+        # the serial run bit for bit (a race here shows up as
+        # corrupted sums).
         assert report["pairs_returned"] == serial["pairs_returned"]
         assert report["metrics"]["pages_read"] == (
             serial["metrics"]["pages_read"]
@@ -1093,13 +1100,13 @@ class TestPoolDeadlinePropagation:
             ))
             assert doomed.status == "expired"
             assert fe.expired == 1
-            pool = engine.worker_pool.snapshot()
+            pool = engine.pool.snapshot()
             assert pool["pool_tasks_cancelled"] > 0, (
                 "cancellation must reclaim shipped pool tasks"
             )
             assert fe.admission.in_use_bytes == 0
             assert engine.budget.snapshot()["in_use_bytes"] == 0
-            assert engine.metrics.queries_cancelled == 1
+            assert engine.metrics_snapshot()["queries_cancelled"] == 1
             # The deployment stays serviceable (faults exhausted).
             ok = asyncio.run(fe.submit(Query(relations=("a", "b"))))
             assert ok.ok and ok.pairs > 0

@@ -1,14 +1,14 @@
 """Sharded scatter/gather serving: differential and property tests.
 
 The headline contract: :class:`ShardedEngine` must return bit-identical
-pair sets to the single-engine and brute-force references on every
-workload — random, skewed, clustered, degenerate, windowed, self-join,
-forced-strategy, multiway — at every shard count, with all shards
-sharing one :class:`WorkerPool`.  The ``assert_same_pairs`` fixture in
+pair sets to the brute-force reference (and to itself at one shard) on
+every workload — random, skewed, clustered, degenerate, windowed,
+self-join, forced-strategy, multiway — at every shard count, with all
+shards sharing one :class:`WorkerPool`.  The ``assert_same_pairs`` fixture in
 ``conftest.py`` is the harness; the property tests here feed it seeded
 adversarial data.  Alongside correctness, the suite pins the
 shared-pool lifecycle (ref-counted close, per-client accounting,
-broken-pool demotion) and cross-engine isolation (budgets, artifact
+broken-pool demotion) and cross-replica isolation (budgets, artifact
 caches, interleaved and concurrent workloads).
 """
 
@@ -23,7 +23,6 @@ from repro.engine import (
     AdmissionError,
     Query,
     ShardedEngine,
-    SpatialQueryEngine,
     WorkerPool,
     make_workload,
     run_workload,
@@ -40,6 +39,8 @@ from tests.conftest import (
     _skewed,
     _uniform,
     brute_reference,
+    make_replica,
+    replica_of,
 )
 
 UNIT = Rect(0.0, 1.0, 0.0, 1.0, 0)
@@ -55,13 +56,11 @@ def _make_sharded(shards: int, **kw) -> ShardedEngine:
     return ShardedEngine(shards=shards, **kw)
 
 
-def _make_single(pool=None, **kw) -> SpatialQueryEngine:
-    kw.setdefault("scale", TEST_SCALE)
-    kw.setdefault("machine", MACHINE_3)
+def _make_replica(pool=None, **kw):
+    """A bare shard replica (on ``pool`` when given)."""
     kw.setdefault("workers", 2)
-    kw.setdefault("cache_capacity", 0)
     kw.setdefault("min_ship_rects", 0)
-    return SpatialQueryEngine(worker_pool=pool, **kw)
+    return make_replica(pool=pool, **kw)
 
 
 # -- sharding geometry -------------------------------------------------------
@@ -124,7 +123,7 @@ class TestShardingGeometry:
 
 
 class TestDifferential:
-    """Brute force == single engine == ShardedEngine(1, 2, 4 shards)."""
+    """Brute force == ShardedEngine at 1, 2 and 4 shards."""
 
     def test_full_join(self, assert_same_pairs):
         rng = random.Random(7)
@@ -167,12 +166,7 @@ class TestDifferential:
                     if intersection(i1, rc) is not None:
                         ref.add((ra.rid, rb.rid, rc.rid))
         query = Query(relations=("a", "b", "c"))
-        single = _make_single()
-        for name, rects in (("a", a), ("b", b), ("c", c)):
-            single.register(name, rects, universe=UNIT)
-        assert set(map(tuple, single.execute(query).result.pairs)) == ref
-        single.close()
-        for shards in (2, 4):
+        for shards in (1, 2, 4):
             sharded = _make_sharded(shards)
             for name, rects in (("a", a), ("b", b), ("c", c)):
                 sharded.register(name, rects, universe=UNIT)
@@ -199,6 +193,8 @@ class TestDifferential:
             sharded.close()
 
     def test_refined_join_matches_single_engine(self):
+        # "Single engine" is the one-shard deployment; more shards must
+        # refine to the identical pair set.
         rng = random.Random(13)
         a = _uniform(rng, 120)
         b = _uniform(rng, 90, 10_000)
@@ -209,7 +205,7 @@ class TestDifferential:
         geom_b = {r.rid: [(r.xlo, r.yhi), (r.xhi, r.ylo)]
                   for r in b if r.rid % 2 == 0}
         query = Query(relations=("a", "b"), refine=True)
-        single = _make_single()
+        single = _make_sharded(1)
         single.register("a", a, universe=UNIT, geometries=geom_a)
         single.register("b", b, universe=UNIT, geometries=geom_b)
         ref = sorted(single.execute(query).result.pairs)
@@ -272,7 +268,7 @@ class TestSharedPoolLifecycle:
     def _registered(self, pool, seed, name="a", **kw):
         rng = random.Random(seed)
         rects = _uniform(rng, 200, seed * 1000)
-        engine = _make_single(pool=pool, pool_kind="thread", **kw)
+        engine = _make_replica(pool=pool, **kw)
         engine.register(name, rects, universe=UNIT)
         return engine, rects
 
@@ -285,15 +281,15 @@ class TestSharedPoolLifecycle:
         e1.execute(q)
         e2.execute(q)
         assert pool.started
-        e1.close()
+        e1.worker_pool.release()
         assert pool.refs == 1
-        assert pool.started, "a sibling's pool must survive one close"
+        assert pool.started, "a sibling's pool must survive one release"
         # The surviving engine keeps serving correct answers.
         out = e2.execute(Query(relations=("a", "a"),
                                window=Rect(0.1, 0.9, 0.1, 0.9, 0)))
         ref = brute_reference(r2, window=Rect(0.1, 0.9, 0.1, 0.9, 0))
         assert set(out.result.pairs) == ref
-        e2.close()
+        e2.worker_pool.release()
         assert pool.refs == 0
         assert not pool.started, "the last release stops the pool"
 
@@ -318,8 +314,8 @@ class TestSharedPoolLifecycle:
         assert e2.worker_pool.tasks_dispatched > (
             e1.worker_pool.tasks_dispatched
         ), "per-client counters must attribute traffic, not mirror it"
-        e1.close()
-        e2.close()
+        e1.worker_pool.release()
+        e2.worker_pool.release()
 
     def test_broken_pool_demotion_is_shared_but_loses_no_query(self):
         pool = WorkerPool(2, kind="process")
@@ -334,25 +330,26 @@ class TestSharedPoolLifecycle:
         q = Query(relations=("a", "a"))
         assert set(e1.execute(q).result.pairs) == brute_reference(r1)
         assert set(e2.execute(q).result.pairs) == brute_reference(r2)
-        e1.close()
-        e2.close()
+        e1.worker_pool.release()
+        e2.worker_pool.release()
 
     def test_close_query_close_stops_recreated_executor(self):
-        # A drained engine that serves again re-takes its pool ref, so
-        # the lazily recreated executor is stopped by the next close
-        # instead of leaking worker threads/processes.  Cost-aware
-        # dispatch off: the repeat must ship to restart the pool.
-        engine = _make_single(pool_kind="thread", inline_plan_ops=0)
+        # A drained replica that serves again re-takes its pool ref,
+        # so the lazily recreated executor is stopped by the next
+        # release instead of leaking worker threads/processes.
+        # Cost-aware dispatch off: the repeat must ship to restart the
+        # pool.
+        engine = _make_replica(pool_kind="thread", inline_plan_ops=0)
         engine.register("a", _uniform(random.Random(71), 200),
                         universe=UNIT)
         q = Query(relations=("a", "a"))
         engine.execute(q)
         assert engine.worker_pool.started
-        engine.close()
+        engine.worker_pool.release()
         assert not engine.worker_pool.started
         engine.execute(q)  # recreates the executor lazily
         assert engine.worker_pool.started
-        engine.close()
+        engine.worker_pool.release()
         assert not engine.worker_pool.started
 
     def test_submit_after_rug_pulled_executor_runs_inline(self):
@@ -399,11 +396,11 @@ class TestSharedPoolLifecycle:
         # whose executor vanished mid-flight still returns exact pairs.
         rng = random.Random(73)
         rects = _uniform(rng, 220)
-        engine = _make_single(pool_kind="thread")
+        engine = _make_sharded(1, pool_kind="thread")
         engine.register("a", rects, universe=UNIT)
         q = Query(relations=("a", "a"))
         engine.execute(q)  # creates the executor
-        pool = engine.worker_pool.pool
+        pool = engine.pool
         assert pool.started
         pool._executor.shutdown(wait=True)  # rug-pull, pool unaware
         out = engine.execute(q)
@@ -432,8 +429,8 @@ class TestSharedPoolIsolation:
         # Roomy budgets: tiles stay resident, so partition artifacts
         # are retained and the invalidation-isolation check has
         # something to (not) invalidate.
-        e1 = _make_single(pool=pool, memory_bytes=512_000)
-        e2 = _make_single(pool=pool, memory_bytes=512_000)
+        e1 = _make_replica(pool=pool, memory_bytes=512_000)
+        e2 = _make_replica(pool=pool, memory_bytes=512_000)
         e1.register("a", r1, universe=UNIT)
         e2.register("a", r2, universe=UNIT)
         return pool, e1, e2, r1, r2
@@ -459,8 +456,8 @@ class TestSharedPoolIsolation:
         assert e2.artifacts.invalidations == 0
         assert len(e2.artifacts) == e2_entries
         assert set(e2.execute(q).result.pairs) == ref2
-        e1.close()
-        e2.close()
+        e1.worker_pool.release()
+        e2.worker_pool.release()
 
     def test_concurrent_submission_is_correct(self):
         pool, e1, e2, r1, r2 = self._pair()
@@ -490,8 +487,8 @@ class TestSharedPoolIsolation:
                 == pool.tasks_dispatched)
         assert (e1.worker_pool.tasks_inline
                 + e2.worker_pool.tasks_inline == pool.tasks_inline)
-        e1.close()
-        e2.close()
+        e1.worker_pool.release()
+        e2.worker_pool.release()
 
     def test_shard_fallback_does_not_poison_sibling_results(self):
         sharded = _make_sharded(2, pool_kind="process")
@@ -500,7 +497,7 @@ class TestSharedPoolIsolation:
         sharded.register("a", rects, universe=UNIT)
         # Shard 0's executor observes a broken pool mid-query; the
         # demotion is shared, but shard 1's results must stay exact.
-        sharded.engines[0].worker_pool.recover(len, ())
+        replica_of(sharded, 0).worker_pool.recover(len, ())
         assert sharded.pool.kind == "thread"
         out = sharded.execute(Query(relations=("a", "a")))
         assert set(out.result.pairs) == brute_reference(rects)
@@ -518,13 +515,13 @@ class TestShardedServing:
         sharded.register("b", _uniform(rng, 100, 10_000), universe=UNIT)
         q = Query(relations=("a", "b"))
         first = sharded.execute(q)
-        executed = sum(e.metrics.queries_executed
-                       for e in sharded.engines)
+        executed = sum(r.metrics.queries_executed
+                       for r in sharded.all_replicas)
         second = sharded.execute(q)
         assert not first.from_cache and second.from_cache
         assert second.result.pair_set() == first.result.pair_set()
-        assert sum(e.metrics.queries_executed
-                   for e in sharded.engines) == executed, (
+        assert sum(r.metrics.queries_executed
+                   for r in sharded.all_replicas) == executed, (
             "a top-level hit must not touch any shard"
         )
         # The cached copy is private: mutating it cannot poison later
@@ -579,7 +576,7 @@ class TestShardedServing:
         hydro = _uniform(rng, 160, 10_000)
         queries = make_workload(UNIT, 14, seed=5)
 
-        single = _make_single(cache_capacity=16)
+        single = _make_sharded(1, cache_capacity=16)
         single.register("roads", roads, universe=UNIT)
         single.register("hydro", hydro, universe=UNIT)
         ref = run_workload(single, queries)
@@ -601,7 +598,7 @@ class TestShardedServing:
         assert m["queries_served"] == 14
         assert m["cache_hits"] > 0, "repeats must hit the top cache"
         assert m["budget_total_bytes"] == sum(
-            e.budget.total_bytes for e in sharded.engines
+            r.budget.total_bytes for r in sharded.all_replicas
         )
 
     def test_metrics_snapshot_aggregates_consistently(self):
@@ -618,14 +615,14 @@ class TestShardedServing:
         assert snap["queries_served"] == 3
         # Physical counters are shard sums.
         assert snap["pages_read"] == sum(
-            e.metrics.pages_read for e in sharded.engines
+            r.metrics.pages_read for r in sharded.all_replicas
         )
         # The deployment's sim clock is the scatter critical path
         # (LPT makespan per query), bounded by the per-shard sum —
         # shards overlap on the shared pool, they do not queue behind
         # each other.  The raw sum survives under its own key.
         shard_sum = sum(
-            e.metrics.sim_wall_seconds for e in sharded.engines
+            r.metrics.sim_wall_seconds for r in sharded.all_replicas
         )
         assert snap["sim_wall_shard_sum_seconds"] == pytest.approx(
             shard_sum
@@ -654,6 +651,56 @@ class TestShardedServing:
         text = sharded.explain(Query(relations=("a", "b")))
         assert "Sharded : 2 shards" in text
         assert text.count("Chosen") == 2
+        sharded.close()
+
+    def test_reregistration_under_concurrent_queries(self):
+        # Re-registering frees the replaced entry's disk blocks, so it
+        # must wait for sub-queries running on the same replicas: four
+        # threads query while the relation is reloaded (same content,
+        # so every answer must stay exact) with a short switch
+        # interval to force interleavings.
+        import sys
+
+        sharded = _make_sharded(2, pool_kind="thread", memory_bytes=10**6)
+        rng = random.Random(83)
+        a = _uniform(rng, 200)
+        b = _uniform(rng, 150, 10_000)
+        sharded.register("a", a, universe=UNIT)
+        sharded.register("b", b, universe=UNIT)
+        queries = [Query(relations=("a", "b")),
+                   Query(relations=("a", "b"), force="pq-index"),
+                   Query(relations=("a", "b"), force="sssj"),
+                   Query(relations=("a", "b"),
+                         window=Rect(0.2, 0.7, 0.1, 0.8, 0))]
+        refs = [set(sharded.execute(q).result.pairs) for q in queries]
+        stop = threading.Event()
+        failures = []
+
+        def reader(q, ref):
+            try:
+                while not stop.is_set():
+                    if set(sharded.execute(q).result.pairs) != ref:
+                        failures.append(f"pair mismatch for {q.force}")
+            except Exception as exc:
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=reader, args=qr)
+                   for qr in zip(queries, refs)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(40):
+                sharded.register("b", b, universe=UNIT)
+                sharded.prepare("b")
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30.0)
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:3]
         sharded.close()
 
     def test_drop_and_unknown_relation(self):

@@ -4,14 +4,14 @@ The load-bearing invariants:
 
 * tracing is off by default and the traced/untraced hot paths charge
   byte-identical simulated work;
-* a query's root span carries exactly the deltas fed to
+* a query's root span carries exactly the deltas its replicas fed to
   ``EngineMetrics.record_execution`` — trace and metrics can never
   disagree;
 * the span tree has the same *shape* whatever the pool kind (serial /
   thread / process), with worker-side task spans shipped back across
   the process boundary;
-* ``execute(analyze=True)`` annotates the plan with the same deltas,
-  bit-for-bit;
+* ``execute(analyze=True)`` annotates each shard's plan with the same
+  deltas, bit-for-bit;
 * the exporters emit valid Prometheus text / trace JSON as judged by
   the same validators CI runs.
 """
@@ -23,21 +23,19 @@ import random
 
 import pytest
 
-from conftest import TEST_SCALE
+from conftest import TEST_SCALE, replica_of
 from repro.engine import (
     LatencyTracker,
     Query,
     ShardedEngine,
     SlowQueryLog,
     Span,
-    SpatialQueryEngine,
     WorkerPool,
     merge_snapshots,
     render_prometheus,
     validate_prometheus,
     validate_trace,
 )
-from repro.engine.metrics import EngineMetrics
 from repro.engine.trace import SPAN_METRIC_FIELDS
 from repro.geom.rect import Rect
 from repro.sim.machines import MACHINE_3
@@ -57,17 +55,9 @@ B_RECTS = _rects(300, 10_000, seed=5)
 QUERY = Query(relations=("a", "b"))
 
 
-def _engine(**kwargs) -> SpatialQueryEngine:
-    defaults = dict(
-        scale=TEST_SCALE, machine=MACHINE_3, workers=2,
-        pool_kind="serial", min_ship_rects=0,
-    )
-    defaults.update(kwargs)
-    engine = SpatialQueryEngine(**defaults)
-    engine.register("a", A_RECTS)
-    engine.register("b", B_RECTS)
-    engine.prepare()
-    return engine
+def _engine(**kwargs) -> ShardedEngine:
+    """The one-shard deployment."""
+    return _sharded(1, **kwargs)
 
 
 def _sharded(shards: int, **kwargs) -> ShardedEngine:
@@ -126,14 +116,17 @@ def test_root_span_carries_metrics_deltas():
         assert tr.sim_io_seconds == snap["sim_io_seconds"]
         assert tr.sim_cpu_seconds == snap["sim_cpu_seconds"]
         assert tr.attrs["pairs"] == snap["pairs_returned"]
-        # Phase children in serving order.
+        # Phase children in serving order; the one shard's subtree
+        # holds its replica's plan and execute phases.
         assert [c.name for c in tr.children] == [
-            "lookup", "plan", "execute", "finalize",
+            "lookup", "scatter", "gather",
         ]
+        (shard,) = tr.find("scatter").children
+        assert [c.name for c in shard.children] == ["plan", "execute"]
         # Phase spans partition the root's op charge: lookup and
-        # finalize touch no simulated counters, plan + execute do.
-        phase_ops = sum(c.cpu_ops for c in tr.children)
-        assert phase_ops == tr.cpu_ops
+        # gather touch no simulated counters, plan + execute do.
+        assert sum(c.cpu_ops for c in tr.children) == tr.cpu_ops
+        assert sum(c.cpu_ops for c in shard.children) == tr.cpu_ops
         assert validate_trace(tr.to_dict()) == []
 
 
@@ -146,10 +139,9 @@ def test_hit_path_traces_and_records_latency():
         assert tr.shape() == ("query", (("lookup", ()),))
         assert tr.children[0].attrs["hit"] is True
         assert tr.wall_seconds > 0.0
-        # Satellite 1: the hit recorded its *measured* wall latency.
-        m = engine.metrics
-        assert m.latency_count == 2
-        assert min(m._latency_reservoir) > 0.0
+        # The hit recorded its *measured* wall latency.
+        assert engine.metrics_snapshot()["latency_count"] == 2
+        assert min(engine.latency._reservoir) > 0.0
 
 
 def test_sweep_span_reconciles_task_ops():
@@ -214,10 +206,13 @@ def test_sharded_trace_shape_and_reconciliation(shards):
 
 
 def test_analyze_actuals_match_metrics_bit_for_bit():
+    # Actuals are measured where the plan runs: on the shard replica,
+    # against the same deltas it records in its metrics.
     with _engine(trace=True) as engine:
-        out = engine.execute(QUERY, analyze=True)
+        replica = replica_of(engine)
+        out = replica.execute(QUERY, analyze=True)
         a = out.plan.actuals
-        snap = engine.metrics_snapshot()
+        snap = replica.metrics.snapshot()
         assert a is not None
         assert a.pages_read == snap["pages_read"]
         assert a.pages_written == snap["pages_written"]
@@ -238,14 +233,16 @@ def test_explain_analyze_bypasses_hit_but_fills_cache():
         engine.execute(QUERY)
         text = engine.explain_analyze(QUERY)
         assert "Actual" in text
-        assert engine.metrics.queries_executed == 2
+        assert "-- shard 0" in text
+        assert engine.metrics_snapshot()["queries_executed"] == 2
         out = engine.execute(QUERY)
         assert out.from_cache
 
 
 def test_plain_execute_attaches_no_actuals():
     with _engine() as engine:
-        out = engine.execute(QUERY)
+        assert "shard_plans" not in engine.execute(QUERY).result.detail
+        out = replica_of(engine).execute(QUERY)
         assert out.plan.actuals is None
         assert "Actual" not in out.plan.explain()
 
@@ -259,7 +256,7 @@ def test_estimate_error_accumulator():
         assert err["queries"] == 1
         assert err["abs_error_seconds"] >= 0.0
         assert err["actual_io_seconds"] == (
-            engine.metrics.sim_io_seconds
+            engine.metrics_snapshot()["sim_io_seconds"]
         )
         # A second strategy accumulates under its own key.
         engine.execute(Query(relations=("a", "b"), force="sssj"))
@@ -271,10 +268,14 @@ def test_estimate_error_accumulator():
 # -- metrics satellites -------------------------------------------------------
 
 
-def test_record_hit_requires_measured_latency():
-    m = EngineMetrics()
-    with pytest.raises(TypeError):
-        m.record_hit(5)
+def test_hit_latency_is_measured_not_synthetic():
+    # Untraced too: a cache hit records its measured wall latency (a
+    # synthetic 0.0 would drag p50/p95 toward zero on warm traffic).
+    with _engine(cache_capacity=8) as engine:
+        engine.execute(QUERY)
+        assert engine.execute(QUERY).from_cache
+        assert engine.latency.count == 2
+        assert min(engine.latency._reservoir) > 0.0
 
 
 def test_merge_snapshots_recomputes_derived_rates():
